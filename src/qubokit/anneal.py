@@ -13,6 +13,10 @@ u per-replica updates runs at betas[floor(u * len(betas) / B)], and the run
 stops once u >= B, overshooting by less than one step.  budget=0 performs
 no steps and yields the initial checkpoint only.
 
+run_schedule raises NumericError as soon as any cached replica energy is not
+finite, after initialization or after any step, rather than recording NaN
+or infinite checkpoints.
+
 Thread parallelism chunks the replica axis.  Every replica owns its RNG
 stream and all arithmetic is row-local, so results are byte-identical for
 any thread count.
@@ -27,6 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .qubo import QuboInstance, energy_batch
+from .treebp import NumericError
 
 
 @dataclass
@@ -153,7 +158,12 @@ def run_schedule(
             for _ in pool.map(lambda b: fn(*b), bounds):
                 pass
 
+    def check_finite() -> None:
+        if not np.isfinite(ens.energies).all():
+            raise NumericError("non-finite replica energy")
+
     try:
+        check_finite()
         step = make_step(q, ens, chain_rng, run_chunks)
 
         best_pos = int(np.argmin(ens.energies))
@@ -172,6 +182,7 @@ def run_schedule(
         def advance(beta: float) -> None:
             nonlocal u, best_e, best_x
             m = step(float(beta))
+            check_finite()
             before = u
             u += m
             cur_pos = int(np.argmin(ens.energies))

@@ -43,22 +43,22 @@ def ibp_step(
     if not beta > 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     tree = select_subtree(q, rng)
+    parent = tree.parent_pos.tolist()
+    edge_w = tree.edge_w.tolist()
     for r in range(ensemble.r):
         x = ensemble.states[r]
         tp = build_tree_problem(q, tree, x, beta)
         ms = bp_pass(tp)
         bits = sample_tree(tp, ms, ensemble.rngs[r])
+        new = [bits[node] for node in tree.nodes]
+        old = x[tree.nodes].tolist()
         d = 0.0
-        for p, node in enumerate(tree.nodes):
-            d += tp.eff_field[p] * (bits[node] - int(x[node]))
+        for b, new_p, old_p in zip(tp.eff_field.tolist(), new, old):
+            d += b * (new_p - old_p)
         for p in range(1, tree.size):
-            pnode = tree.nodes[int(tree.parent_pos[p])]
-            node = tree.nodes[p]
-            d += float(tree.edge_w[p]) * (
-                bits[node] * bits[pnode] - int(x[node]) * int(x[pnode])
-            )
-        for node, bit in bits.items():
-            x[node] = bit
+            pp = parent[p]
+            d += edge_w[p] * (new[p] * new[pp] - old[p] * old[pp])
+        x[tree.nodes] = new
         ensemble.energies[r] += d
     return tree.size
 
@@ -76,29 +76,38 @@ def _make_ibp_step(
         tree = select_subtree(q, chain_rng)
         idx, wmat = frozen_neighbor_arrays(q, tree)
         nodes = np.asarray(tree.nodes)
-        hbase = q.h[nodes]
+        hbase = q.h[nodes, None]
         m = tree.size
+        par = tree.parent_pos[1:]
+        w_edge = tree.edge_w[1:, None]
 
         def work(lo: int, hi: int) -> None:
-            xc = states[lo:hi]
+            # Position-major (M, R) arrays throughout; see treebp.
+            xt = np.ascontiguousarray(states[lo:hi].T)
             # Frozen-neighbor fields, accumulated column by column in
-            # adjacency order (padding weights are 0, so they are no-ops).
-            eff = np.tile(hbase, (hi - lo, 1))
+            # adjacency order (masked and padding weights are 0, no-ops).
+            eff = np.repeat(hbase, hi - lo, axis=1)
             for col in range(idx.shape[1]):
-                eff += wmat[:, col] * xc[:, idx[:, col]]
-            s_up = ensemble_upward(tree, eff, beta)
-            u = np.stack([rngs[r].random(m) for r in range(lo, hi)])
+                eff += wmat[:, col, None] * xt[idx[:, col]]
+            s_up = ensemble_upward(tree, eff.T, beta)
+            u = np.empty((hi - lo, m))
+            for k in range(hi - lo):
+                rngs[lo + k].random(out=u[k])
             bits = ensemble_sample(tree, s_up, beta, u)
-            old = xc[:, nodes].astype(np.float64)
-            new = bits.astype(np.float64)
-            d = np.zeros(hi - lo)
-            for p in range(m):
-                d += eff[:, p] * (new[:, p] - old[:, p])
-            for p in range(1, m):
-                pp = int(tree.parent_pos[p])
-                d += tree.edge_w[p] * (new[:, p] * new[:, pp] - old[:, p] * old[:, pp])
-            xc[:, nodes] = bits
-            energies[lo:hi] += d
+            old = xt[nodes].astype(np.float64)
+            new = bits.T.astype(np.float64)
+            # Energy change: the field terms of positions 0..M-1, then the
+            # edge terms of positions 1..M-1, summed in that order from 0
+            # by an in-place running sum, exactly as ibp_step adds them.
+            d = np.empty((2 * m, hi - lo))
+            d[0] = 0.0
+            np.subtract(new, old, out=d[1 : m + 1])
+            d[1 : m + 1] *= eff
+            d[m + 1 :] = new[1:] * new[par] - old[1:] * old[par]
+            d[m + 1 :] *= w_edge
+            np.add.accumulate(d, axis=0, out=d)
+            states[lo:hi, nodes] = bits
+            energies[lo:hi] += d[-1]
 
         run_chunks(work)
         return m

@@ -175,7 +175,17 @@ def energy_batch(q: QuboInstance, states: np.ndarray) -> np.ndarray:
         raise ValueError(f"states have shape {X.shape}, expected (R, {q.n})")
     e = X @ q.h
     if q.pair_w.size:
-        e += (X[:, q.pair_i] * X[:, q.pair_j]) @ q.pair_w
+        # The (R, n_pairs) pair products are filled in row blocks of about
+        # 2**18 entries, so the gathered operands never exist in full, and
+        # then go through one matrix-vector product.  Splitting that product
+        # by rows, or storing it in C order rather than in the Fortran order
+        # that column gathers produce, changes its rounding in BLAS.
+        prod = np.empty((X.shape[0], q.pair_w.size), order="F")
+        rows = max(1, (1 << 18) // q.pair_w.size)
+        for lo in range(0, X.shape[0], rows):
+            xb = X[lo : lo + rows]
+            np.multiply(xb[:, q.pair_i], xb[:, q.pair_j], out=prod[lo : lo + rows])
+        e += prod @ q.pair_w
     return e
 
 

@@ -11,6 +11,7 @@ remains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,18 +42,32 @@ class SubTree:
             raise ValueError("sub-tree must contain at least one node")
         if len(set(self.nodes)) != m:
             raise ValueError("duplicate node in sub-tree")
-        if self.parent_pos[0] != -1:
+        parent = self.parent_pos.tolist()
+        if parent[0] != -1:
             raise ValueError("first node must be the root (parent_pos -1)")
-        for p in range(1, m):
-            if not 0 <= self.parent_pos[p] < p:
-                raise ValueError(f"parent of position {p} must precede it")
         self.children = [[] for _ in range(m)]
         for p in range(1, m):
-            self.children[int(self.parent_pos[p])].append(p)
+            if not 0 <= parent[p] < p:
+                raise ValueError(f"parent of position {p} must precede it")
+            self.children[parent[p]].append(p)
 
     @property
     def size(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def levels(self) -> list[np.ndarray]:
+        """Positions grouped by depth, root level first; within a level in
+        decreasing position order, the order in which the upward sweep
+        adds children into their parent's sum."""
+        parent = self.parent_pos.tolist()
+        depth = [0] * self.size
+        for p in range(1, self.size):
+            depth[p] = depth[parent[p]] + 1
+        groups: list[list[int]] = [[] for _ in range(max(depth) + 1)]
+        for p in range(self.size - 1, -1, -1):
+            groups[depth[p]].append(p)
+        return [np.array(g, dtype=np.int64) for g in groups]
 
     @property
     def tree_edges(self) -> list[tuple[int, int, float]]:
@@ -96,48 +111,54 @@ class TreeProblem:
 def select_subtree(q: QuboInstance, rng: np.random.Generator) -> SubTree:
     """Grow a random induced sub-tree; frontier = outside nodes with exactly
     one coupling into the current set."""
-    start = int(rng.integers(q.n))
-    in_tree = np.zeros(q.n, dtype=bool)
-    conn = np.zeros(q.n, dtype=np.int64)
-    entry_parent = np.full(q.n, -1, dtype=np.int64)
-    entry_w = np.zeros(q.n, dtype=np.float64)
+    n = q.n
+    adjacency = q.adjacency
+    integers = rng.integers
+    in_tree = [False] * n
+    conn = [0] * n
+    entry_parent = [-1] * n
+    entry_w = [0.0] * n
     frontier: list[int] = []
-    fpos = np.full(q.n, -1, dtype=np.int64)  # position in frontier, -1 absent
+    fpos = [0] * n  # position in frontier, valid while a node is in it
 
-    def drop(v: int) -> None:
-        p = int(fpos[v])
-        last = frontier[-1]
-        frontier[p] = last
-        fpos[last] = p
-        frontier.pop()
-        fpos[v] = -1
-
-    def absorb(u: int, pos_u: int) -> None:
+    # A node leaves the frontier by moving the frontier's last entry into
+    # its slot.  The chosen node leaves first, then each outside neighbor
+    # joins on its first coupling into the set and leaves for good on its
+    # second.  That order fixes the frontier's layout, and with it which
+    # node each draw picks.
+    u = int(integers(n))
+    nodes = [u]
+    parent_pos = [-1]
+    edge_w = [0.0]
+    while True:
+        pos_u = len(nodes) - 1
         in_tree[u] = True
-        if fpos[u] >= 0:
-            drop(u)
-        for v, w in q.adjacency[u]:
+        for v, w in adjacency[u]:
             if in_tree[v]:
                 continue
-            conn[v] += 1
-            if conn[v] == 1:
+            c = conn[v] = conn[v] + 1
+            if c == 1:
                 entry_parent[v] = pos_u
                 entry_w[v] = w
                 fpos[v] = len(frontier)
                 frontier.append(v)
-            elif conn[v] == 2:
-                drop(v)
-
-    nodes = [start]
-    parent_pos = [-1]
-    edge_w = [0.0]
-    absorb(start, 0)
-    while frontier:
-        v = frontier[int(rng.integers(len(frontier)))]
-        nodes.append(v)
-        parent_pos.append(int(entry_parent[v]))
-        edge_w.append(float(entry_w[v]))
-        absorb(v, len(nodes) - 1)
+            elif c == 2:
+                p = fpos[v]
+                last = frontier.pop()
+                if last != v:
+                    frontier[p] = last
+                    fpos[last] = p
+        if not frontier:
+            break
+        p = int(integers(len(frontier)))
+        u = frontier[p]
+        last = frontier.pop()
+        if last != u:
+            frontier[p] = last
+            fpos[last] = p
+        nodes.append(u)
+        parent_pos.append(entry_parent[u])
+        edge_w.append(entry_w[u])
     return SubTree(nodes, np.array(parent_pos), np.array(edge_w))
 
 
@@ -166,18 +187,13 @@ def build_tree_problem(
 def frozen_neighbor_arrays(
     q: QuboInstance, tree: SubTree
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Padded (M, D) index and weight arrays of each tree node's outside
-    neighbors; padding has weight 0 so it never contributes."""
+    """(M, D) index and weight arrays of each tree node's neighbors: the
+    tree nodes' rows of q.padded_adjacency(), with in-tree neighbors masked
+    to weight 0.  Padding has weight 0 as well, so only outside neighbors
+    contribute, in adjacency order."""
+    pidx, pwgt = q.padded_adjacency()
+    nodes = np.asarray(tree.nodes)
     in_tree = np.zeros(q.n, dtype=bool)
-    in_tree[tree.nodes] = True
-    rows = []
-    for i in tree.nodes:
-        rows.append([(k, w) for k, w in q.adjacency[i] if not in_tree[k]])
-    width = max((len(r) for r in rows), default=0)
-    idx = np.zeros((tree.size, width), dtype=np.int64)
-    wmat = np.zeros((tree.size, width), dtype=np.float64)
-    for p, row in enumerate(rows):
-        for d, (k, w) in enumerate(row):
-            idx[p, d] = k
-            wmat[p, d] = w
-    return idx, wmat
+    in_tree[nodes] = True
+    idx = pidx[nodes]
+    return idx, np.where(in_tree[idx], 0.0, pwgt[nodes])

@@ -63,7 +63,7 @@ def sigmoid(t):
     """1 / (1 + e^-t), overflow-free for scalars and arrays."""
     t = np.asarray(t, dtype=np.float64)
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
 
 
 # ----------------------------------------------------------------------
@@ -72,8 +72,15 @@ def sigmoid(t):
 
 
 def _pass_scalar(tree: SubTree, eff: np.ndarray, beta: float):
-    """Single-problem sweep on python floats; arithmetic mirrors the array
-    path operation for operation, so results agree bit for bit."""
+    """Run both sweeps on python floats; eff is position-indexed, (M,).
+
+    Returns (s_up, z_up, z_dn, belief_field), each (M,), where
+    s_up[p] = S_{p->parent} (for the root, its full belief field),
+    belief_field[p] = -beta*b_p + sum of all incoming z at p.  Children are
+    added into their parent's sum in decreasing position order; the
+    replica-ensemble kernels below keep that order, so they agree with
+    this sweep bit for bit.
+    """
     m = tree.size
     parent = tree.parent_pos.tolist()
     edge_w = tree.edge_w.tolist()
@@ -102,48 +109,19 @@ def _pass_scalar(tree: SubTree, eff: np.ndarray, beta: float):
     return (np.asarray(s_up), np.asarray(z_up), np.asarray(z_dn), np.asarray(belief))
 
 
-def _pass_arrays(tree: SubTree, eff: np.ndarray, beta: float):
-    """Run both sweeps; eff has shape (M,) or (R, M), position-indexed.
-
-    Returns (s_up, z_up, z_dn, belief_field) with eff's shape, where
-    s_up[p] = S_{p->parent} (for the root, its full belief field),
-    belief_field[p] = -beta*b_p + sum of all incoming z at p.
-    """
-    if eff.ndim == 1:
-        return _pass_scalar(tree, eff, beta)
-    m = tree.size
-    parent = tree.parent_pos
-    bw = beta * tree.edge_w
-    s_up = np.empty_like(eff)
-    z_up = np.zeros_like(eff)
-    chsum = np.zeros_like(eff)
-    for p in reversed(range(m)):
-        s_up[..., p] = -beta * eff[..., p] + chsum[..., p]
-        if p > 0:
-            z_up[..., p] = softplus(s_up[..., p] - bw[p]) - softplus(s_up[..., p])
-            chsum[..., parent[p]] += z_up[..., p]
-    belief = np.empty_like(eff)
-    z_dn = np.zeros_like(eff)
-    belief[..., 0] = s_up[..., 0]
-    for p in range(1, m):
-        s = belief[..., parent[p]] - z_up[..., p]
-        z_dn[..., p] = softplus(s - bw[p]) - softplus(s)
-        belief[..., p] = s_up[..., p] + z_dn[..., p]
-    return s_up, z_up, z_dn, belief
-
-
 def bp_pass(tp: TreeProblem) -> MessageSet:
     """Exact fixed-point messages via one leaves-to-root-to-leaves sweep."""
     tree = tp.tree
     if not (np.isfinite(tp.eff_field).all() and np.isfinite(tree.edge_w).all()):
         raise NumericError("non-finite effective field or coupling")
-    _, z_up, z_dn, _ = _pass_arrays(tree, tp.eff_field, tp.beta)
+    _, z_up, z_dn, _ = _pass_scalar(tree, tp.eff_field, tp.beta)
+    nodes, parent = tree.nodes, tree.parent_pos.tolist()
+    z_up, z_dn = z_up.tolist(), z_dn.tolist()
     z: dict[tuple[int, int], float] = {}
     for p in range(1, tree.size):
-        child = tree.nodes[p]
-        par = tree.nodes[int(tree.parent_pos[p])]
-        z[(child, par)] = float(z_up[p])
-        z[(par, child)] = float(z_dn[p])
+        child, par = nodes[p], nodes[parent[p]]
+        z[(child, par)] = z_up[p]
+        z[(par, child)] = z_dn[p]
     if not all(math.isfinite(v) for v in z.values()):
         raise NumericError("non-finite message produced")
     return MessageSet(z, tp.beta)
@@ -217,7 +195,7 @@ def _excl_parent_fields(tp: TreeProblem, ms: MessageSet) -> list[float]:
     """Per position p: -beta*b_p plus incoming z from children only.
 
     Children are added in decreasing position order, mirroring the upward
-    sweep of _pass_arrays, so the result equals its s_up bit for bit.
+    sweep of _pass_scalar, so the result equals its s_up bit for bit.
     """
     tree = tp.tree
     parent = tree.parent_pos.tolist()
@@ -265,24 +243,50 @@ def map_assign_tree(tp: TreeProblem, ms: MessageSet) -> dict[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Replica-ensemble kernels: same recurrences on (R, M) arrays.
+# Replica-ensemble kernels: the same recurrences on (R, M) arrays, one
+# vectorized step per tree level (SubTree.levels), so the Python loop runs
+# over the tree's depth rather than its size.  Inside, arrays are
+# position-major, (M, R), so a level's rows are gathered whole; at the
+# interface they are (R, M), and a transposed view costs nothing.
 # ----------------------------------------------------------------------
 
 
 def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
-    """S_{p->parent} for every replica; eff is (R, M), result (R, M)."""
-    s_up, _, _, _ = _pass_arrays(tree, eff, beta)
-    return s_up
+    """S_{p->parent} for every replica; eff is (R, M), result (R, M).
+
+    Levels are swept deepest first.  np.add.at adds a level's messages into
+    their parents' sums one at a time in the level's decreasing position
+    order, the order of _pass_scalar, so each row equals its s_up exactly.
+    """
+    parent = tree.parent_pos
+    bw = (beta * tree.edge_w)[:, None]
+    r = eff.shape[0]
+    s_up = np.multiply(eff.T, -beta, order="C")
+    chsum = np.zeros_like(s_up)
+    flat = chsum.reshape(-1)  # entry p * r + k: position p, replica k
+    replica = np.arange(r)
+    for lev in reversed(tree.levels[1:]):
+        s = s_up[lev]
+        s += chsum[lev]
+        s_up[lev] = s
+        z = softplus(s - bw[lev])
+        z -= softplus(s)
+        np.add.at(flat, (parent[lev, None] * r + replica).ravel(), z.ravel())
+    s_up[0] += chsum[0]
+    return s_up.T
 
 
 def ensemble_sample(
     tree: SubTree, s_up: np.ndarray, beta: float, u: np.ndarray
 ) -> np.ndarray:
-    """Sample all replicas' tree bits from uniforms u of shape (R, M)."""
-    bw = beta * tree.edge_w
+    """Sample all replicas' tree bits from uniforms u of shape (R, M),
+    root first, one level at a time, each child given its parent's bit."""
+    parent = tree.parent_pos
+    bw = (beta * tree.edge_w)[:, None]
+    s_up, u = s_up.T, u.T
     bits = np.zeros(u.shape, dtype=np.uint8)
-    bits[:, 0] = u[:, 0] < sigmoid(s_up[:, 0])
-    for p in range(1, tree.size):
-        t = s_up[:, p] - bw[p] * bits[:, int(tree.parent_pos[p])]
-        bits[:, p] = u[:, p] < sigmoid(t)
-    return bits
+    bits[0] = u[0] < sigmoid(s_up[0])
+    for lev in tree.levels[1:]:
+        t = s_up[lev] - bw[lev] * bits[parent[lev]]
+        bits[lev] = u[lev] < sigmoid(t)
+    return bits.T

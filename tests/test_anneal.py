@@ -6,9 +6,12 @@ import pytest
 from qubokit import (
     AnnealSchedule,
     Checkpoint,
+    NumericError,
+    QuboInstance,
     ReplicaEnsemble,
     gen_er_graph,
     geometric_schedule,
+    ibp_run,
     random_sparse_qubo,
     run_schedule,
     sa_run,
@@ -176,6 +179,16 @@ class TestRunScheduleBudget:
             small_instance(), 4, AnnealSchedule(np.array([])), 0, None, counting_step([])
         )
         assert len(trace.checkpoints) == 1
+
+    @pytest.mark.parametrize("run", [ibp_run, sa_run])
+    def test_energy_overflow_mid_run_raises(self, run):
+        # h = -1e308 on two uncoupled variables: the seeded initial state
+        # has a finite energy, and setting both bits overflows it to -inf
+        q = QuboInstance(2, h=[-1e308, -1e308])
+        sched = AnnealSchedule(np.full(10, 1.0))
+        assert np.isfinite(run(q, 1, sched, 0, budget=0).best_energy)
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            run(q, 1, sched, 0)
 
 
 class TestTraceInvariants:

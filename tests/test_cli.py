@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import qubokit.cli as cli
-from qubokit import NumericError, brute_force_min, load_instance, tree_dp_min
+from qubokit import (
+    NumericError,
+    QuboInstance,
+    brute_force_min,
+    load_instance,
+    save_instance,
+    tree_dp_min,
+)
 from qubokit.cli import main
 
 
@@ -250,6 +257,20 @@ class TestErrors:
         code, _, err = run_cli(capsys, "solve", instance_path, "--algo", "ibp")
         assert code == 3
         assert "numeric failure" in err
+
+    @pytest.mark.parametrize("algo", ["ibp", "sa"])
+    def test_overflowing_energies_exit_3(self, tmp_path, capsys, algo):
+        # finite coefficients whose energies overflow to inf: the run must
+        # fail loudly rather than report a NaN median
+        q = QuboInstance(3, h=[1e308] * 3, couplings={(0, 1): 1e308, (1, 2): 1e308})
+        path = tmp_path / "huge.qubo"
+        path.write_text(save_instance(q), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "solve", str(path), "--algo", algo, "-R", "4", "--steps", "5",
+        )
+        assert code == 3
+        assert "numeric failure" in err
+        assert out == ""
 
     def test_bad_replica_count_exits_1(self, instance_path, capsys):
         code, _, _ = run_cli(capsys, "solve", instance_path, "-R", "0")

@@ -19,7 +19,7 @@ from qubokit import (
     sample_tree,
 )
 from qubokit.oracle import state_bits
-from qubokit.treebp import ensemble_sample, ensemble_upward
+from qubokit.treebp import _pass_scalar, ensemble_sample, ensemble_upward
 
 
 def random_tree_problem(rng, m, beta, field_scale=1.0, w_scale=2.0):
@@ -239,21 +239,55 @@ class TestMapAssign:
         assert map_assign_tree(tp, bp_pass(tp)) == {0: 0}
 
 
-class TestEnsembleKernels:
-    def test_match_scalar_engine(self):
-        rng = np.random.default_rng(10)
-        tp = random_tree_problem(rng, 8, 1.7)
-        tree = tp.tree
-        effs = np.stack([tp.eff_field, tp.eff_field * 0.5, -tp.eff_field])
-        s_up = ensemble_upward(tree, effs, tp.beta)
-        for r in range(3):
-            tpr = TreeProblem(tree, effs[r], tp.beta)
-            from qubokit.treebp import _pass_arrays
+def shaped_tree_problem(shape, seed, beta=1.7):
+    """Tree problem whose parent list has the given shape: a path (one
+    node per level), a star (root with 24 children), or a random
+    recursive tree."""
+    rng = np.random.default_rng(seed)
+    if shape == "path":
+        parent_pos = [-1] + list(range(11))
+    elif shape == "star":
+        parent_pos = [-1] + [0] * 24
+    else:
+        parent_pos = [-1] + [int(rng.integers(p)) for p in range(1, 40)]
+    m = len(parent_pos)
+    edge_w = np.concatenate([[0.0], rng.uniform(-2.0, 2.0, m - 1)])
+    tree = SubTree(list(range(m)), np.array(parent_pos), edge_w)
+    return TreeProblem(tree, rng.uniform(-1.0, 1.0, m), beta)
 
-            s_ref = _pass_arrays(tree, effs[r], tp.beta)[0]
-            assert np.array_equal(s_up[r], s_ref)
-            # sampling with shared uniforms reproduces the scalar path
-            u = np.random.default_rng(100 + r).random(tree.size)
-            bits_vec = ensemble_sample(tree, s_up[r : r + 1], tp.beta, u[None, :])[0]
-            sample = sample_tree(tpr, bp_pass(tpr), np.random.default_rng(100 + r))
-            assert [sample[n] for n in tree.nodes] == list(bits_vec)
+
+class TestEnsembleKernels:
+    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize(
+        "shape, seed",
+        [("path", 0), ("star", 1), ("random", 2), ("random", 3), ("random", 4)],
+    )
+    def test_match_scalar_engine(self, shape, seed, r):
+        # the level-synchronous kernels reproduce the scalar sweep's s_up
+        # and the scalar sampler's bits exactly, replica by replica
+        tp = shaped_tree_problem(shape, seed)
+        tree = tp.tree
+        scale = np.random.default_rng(50 + seed).uniform(-2.0, 2.0, (r, 1))
+        effs = tp.eff_field * scale
+        s_up = ensemble_upward(tree, effs, tp.beta)
+        u = np.stack([np.random.default_rng(100 + k).random(tree.size) for k in range(r)])
+        bits = ensemble_sample(tree, s_up, tp.beta, u)
+        for k in range(r):
+            tpk = TreeProblem(tree, effs[k], tp.beta)
+            assert np.array_equal(s_up[k], _pass_scalar(tree, effs[k], tp.beta)[0])
+            sample = sample_tree(tpk, bp_pass(tpk), np.random.default_rng(100 + k))
+            assert [sample[n] for n in tree.nodes] == list(bits[k])
+
+    @pytest.mark.parametrize(
+        "shape, seed", [("path", 0), ("star", 1), ("random", 2), ("random", 3)]
+    )
+    def test_levels_partition_positions_by_depth(self, shape, seed):
+        tree = shaped_tree_problem(shape, seed).tree
+        levels = [lev.tolist() for lev in tree.levels]
+        assert sorted(p for lev in levels for p in lev) == list(range(tree.size))
+        assert levels[0] == [0]
+        depth = {p: d for d, lev in enumerate(levels) for p in lev}
+        for p in range(1, tree.size):
+            assert depth[int(tree.parent_pos[p])] == depth[p] - 1
+        for lev in levels:
+            assert lev == sorted(lev, reverse=True)
