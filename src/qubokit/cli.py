@@ -1,9 +1,10 @@
 """Command-line interface: gen, solve, bench, verify.
 
 Exit codes: 0 success, 1 usage or invalid argument, 2 I/O or parse error,
-3 numeric failure.  CSV uses UTF-8, '\n' line endings, repr() floats (the
-shortest string that round-trips the exact float64), so equal runs produce
-byte-identical files.
+3 numeric failure, which includes an instance whose sum |h| + sum |w|
+overflows: every command rejects it on loading.  CSV uses UTF-8, '\n' line
+endings, repr() floats (the shortest string that round-trips the exact
+float64), so equal runs produce byte-identical files.
 
 Output conventions: `solve` prints its summary JSON to stdout (or to
 --summary) and writes the checkpoint CSV only when --csv is given; `bench`
@@ -106,7 +107,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _load(path: str) -> QuboInstance:
-    return load_instance(Path(path).read_text(encoding="utf-8"))
+    q = load_instance(Path(path).read_text(encoding="utf-8"))
+    # sum |h| + sum |w| bounds |E(x)| and its partial sums for every x, so
+    # an instance whose bound is finite has no energy that overflows.
+    with np.errstate(over="ignore"):
+        bound = np.abs(q.h).sum() + np.abs(q.pair_w).sum()
+    if not np.isfinite(bound):
+        raise NumericError("sum of absolute coefficients overflows")
+    return q
 
 
 def _run_config(args: argparse.Namespace, q: QuboInstance):

@@ -66,8 +66,8 @@ class QuboInstance:
         self.pair_w = np.array([p[2] for p in pairs], dtype=np.float64)
 
         # Adjacency in two layouts: python lists of (neighbor, w) for the
-        # scalar code paths, index/weight array pairs for vectorised ones.
-        # Neighbor order is ascending, fixed at construction.
+        # scalar code paths, and the padded arrays of padded_adjacency for
+        # vectorised ones.  Neighbor order is ascending, fixed at construction.
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
         for i, j, v in pairs:
             adj[i].append((j, v))
@@ -75,8 +75,6 @@ class QuboInstance:
         for lst in adj:
             lst.sort()
         self.adjacency = adj
-        self.adj_index = [np.array([t[0] for t in lst], dtype=np.int64) for lst in adj]
-        self.adj_weight = [np.array([t[1] for t in lst], dtype=np.float64) for lst in adj]
 
         self._padded_adj: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -176,12 +174,12 @@ def energy_batch(q: QuboInstance, states: np.ndarray) -> np.ndarray:
     e = X @ q.h
     if q.pair_w.size:
         # The (R, n_pairs) pair products are filled in row blocks of about
-        # 2**18 entries, so the gathered operands never exist in full, and
+        # 2**16 entries, so the gathered operands never exist in full, and
         # then go through one matrix-vector product.  Splitting that product
         # by rows, or storing it in C order rather than in the Fortran order
         # that column gathers produce, changes its rounding in BLAS.
         prod = np.empty((X.shape[0], q.pair_w.size), order="F")
-        rows = max(1, (1 << 18) // q.pair_w.size)
+        rows = max(1, (1 << 16) // q.pair_w.size)
         for lo in range(0, X.shape[0], rows):
             xb = X[lo : lo + rows]
             np.multiply(xb[:, q.pair_i], xb[:, q.pair_j], out=prod[lo : lo + rows])
@@ -197,10 +195,9 @@ def delta_energy(q: QuboInstance, x, i: int) -> float:
     xf = _as_assignment(q, x)
     if not 0 <= i < q.n:
         raise ValueError(f"variable index {i} out of range [0, {q.n})")
-    field = q.h[i]
-    idx = q.adj_index[i]
-    if idx.size:
-        field += float(q.adj_weight[i] @ xf[idx])
+    # The SA kernel's arithmetic, so that sa_sweep matches it bit for bit.
+    idx, wgt = q.padded_adjacency()
+    field = np.add.reduce(wgt[i] * xf[idx[i]]) + q.h[i]
     return float((1.0 - 2.0 * xf[i]) * field)
 
 

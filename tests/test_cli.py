@@ -1,5 +1,6 @@
 """End-to-end tests of the qubokit command-line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -159,6 +160,29 @@ class TestSolve:
         assert 10 <= rows <= 13  # initial point plus one per crossing
 
 
+class TestGoldenCsv:
+    # sha256 of the checkpoint CSV of one seeded run per solver: any change
+    # to a seeded trajectory or to the CSV bytes changes them.  R = 70 spans
+    # two 64-replica SA blocks.
+    @pytest.mark.parametrize("algo, digest", [
+        ("sa", "34d0246740b0226fa218614b853dcf9a876d31a3cd46d6339a3e9a40ad27578b"),
+        ("ibp", "2dc624dbc1d6b7aa3b169bf489ade8c24360e780d852dc9ddb4acfa0cb8554fc"),
+    ])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_checkpoint_csv_digest(self, tmp_path, capsys, algo, digest, threads):
+        path = tmp_path / "r40.qubo"
+        assert main(["gen", "--class", "random", "--n", "40", "--p", "0.1",
+                     "--seed", "7", "-o", str(path)]) == 0
+        cpath = tmp_path / "cp.csv"
+        code, _, _ = run_cli(
+            capsys, "solve", str(path), "--algo", algo, "-R", "70", "--steps", "30",
+            "--seed", "3", "--checkpoints", "40", "--threads", threads,
+            "--csv", str(cpath),
+        )
+        assert code == 0
+        assert hashlib.sha256(cpath.read_bytes()).hexdigest() == digest
+
+
 class TestBench:
     def test_csv_has_both_algorithms(self, instance_path, tmp_path, capsys):
         cpath = tmp_path / "bench.csv"
@@ -258,16 +282,18 @@ class TestErrors:
         assert code == 3
         assert "numeric failure" in err
 
-    @pytest.mark.parametrize("algo", ["ibp", "sa"])
+    @pytest.mark.parametrize("algo", ["ibp", "sa", "verify"])
     def test_overflowing_energies_exit_3(self, tmp_path, capsys, algo):
-        # finite coefficients whose energies overflow to inf: the run must
-        # fail loudly rather than report a NaN median
-        q = QuboInstance(3, h=[1e308] * 3, couplings={(0, 1): 1e308, (1, 2): 1e308})
+        # finite coefficients whose energies overflow: every command must
+        # fail loudly rather than report a NaN median or an infinite minimum
+        q = QuboInstance(3, h=[-1e308] * 3, couplings={(0, 1): 1e308, (1, 2): 1e308})
         path = tmp_path / "huge.qubo"
         path.write_text(save_instance(q), encoding="utf-8")
-        code, out, err = run_cli(
-            capsys, "solve", str(path), "--algo", algo, "-R", "4", "--steps", "5",
-        )
+        if algo == "verify":
+            argv = ["verify", str(path)]
+        else:
+            argv = ["solve", str(path), "--algo", algo, "-R", "4", "--steps", "5"]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert "numeric failure" in err
         assert out == ""

@@ -109,14 +109,17 @@ class TestEnergy:
             assert batch[r] == pytest.approx(energy(q, X[r]), abs=1e-12)
 
     def test_energy_batch_blocks_keep_bits(self):
-        # 2205 pairs give row blocks of 118 replicas; three blocks must give
-        # the bits of the single unblocked product
-        q = random_sparse_qubo(gen_er_graph(300, 0.05, 0), 0)
-        X = (np.random.default_rng(4).random((300, q.n)) < 0.5).astype(np.uint8)
-        Xf = X.astype(np.float64)
-        want = Xf @ q.h
-        want += (Xf[:, q.pair_i] * Xf[:, q.pair_j]) @ q.pair_w
-        assert np.array_equal(energy_batch(q, X), want)
+        # Blocks of 2**16 pair products: 2245 pairs give row blocks of 29
+        # replicas, so 300 replicas take 11 blocks; 71772 pairs give blocks
+        # of one replica.  Either must give the bits of the single
+        # unblocked product.
+        for g, r in ((gen_er_graph(300, 0.05, 0), 300), (gen_er_graph(400, 0.9, 1), 5)):
+            q = random_sparse_qubo(g, 0)
+            X = (np.random.default_rng(4).random((r, q.n)) < 0.5).astype(np.uint8)
+            Xf = X.astype(np.float64)
+            want = Xf @ q.h
+            want += (Xf[:, q.pair_i] * Xf[:, q.pair_j]) @ q.pair_w
+            assert np.array_equal(energy_batch(q, X), want)
 
     def test_delta_energy_matches_flip(self):
         rng = np.random.default_rng(11)

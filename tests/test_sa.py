@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubokit import (
     AnnealSchedule,
@@ -19,6 +21,7 @@ from qubokit import (
 )
 from qubokit.oracle import state_index
 from qubokit.qubo import energy, energy_batch
+from qubokit.sa import _run_bounds
 
 
 class TestSaSweep:
@@ -79,24 +82,38 @@ class TestSaSweep:
         assert total_variation(counts / counts.sum(), dist.probabilities) < 0.02
 
 
+def _with_isolated_variables() -> QuboInstance:
+    # ER(20, 0.2) couplings on the first 20 of 26 variables
+    q = random_sparse_qubo(gen_er_graph(20, 0.2, 0), 1)
+    h = np.concatenate([q.h, np.random.default_rng(2).normal(size=6)])
+    return QuboInstance(26, h=h, couplings={(i, j): w for i, j, w in q.couplings()})
+
+
+def _without_couplings() -> QuboInstance:
+    return QuboInstance(15, h=np.random.default_rng(3).normal(size=15))
+
+
 class TestSaRun:
-    def test_matches_scalar_reference_exactly(self):
-        # the vectorized kernel consumes the same per-replica streams as
+    @pytest.mark.parametrize("make_q", [_with_isolated_variables, _without_couplings])
+    @pytest.mark.parametrize("r", [1, 6, 70])  # 70 spans two 64-replica blocks
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_scalar_reference_exactly(self, make_q, r, threads):
+        # the run-batched kernel consumes the same per-replica streams as
         # sa_sweep, so trajectories agree bit for bit
-        q = random_sparse_qubo(gen_er_graph(20, 0.2, 0), 1)
-        sweeps, beta, seed = 300, 1.1, 5
+        q = make_q()
+        sweeps, beta, seed = 120, 1.1, 5
 
         root = np.random.SeedSequence(seed)
         root.spawn(1)  # run_schedule reserves the first child for its chain rng
-        ens = ReplicaEnsemble.initialize(q, 6, root)
+        ens = ReplicaEnsemble.initialize(q, r, root)
         best = float(ens.energies.min())
         for _ in range(sweeps):
-            for r in range(6):
-                sa_sweep(q, ens.states[r], beta, ens.rngs[r])
+            for k in range(r):
+                sa_sweep(q, ens.states[k], beta, ens.rngs[k])
             ens.energies = energy_batch(q, ens.states)
             best = min(best, float(ens.energies.min()))
 
-        trace = sa_run(q, 6, AnnealSchedule(np.full(sweeps, beta)), seed)
+        trace = sa_run(q, r, AnnealSchedule(np.full(sweeps, beta)), seed, threads=threads)
         assert np.array_equal(trace.final_states, ens.states)
         assert trace.best_energy == pytest.approx(best, abs=1e-9)
 
@@ -127,3 +144,54 @@ class TestSaRun:
         trace = sa_run(q, 64, geometric_schedule(0.5, 20.0, 400), seed=0)
         assert trace.best_energy == -2.0
         assert trace.best_state.sum() == 2
+
+
+@st.composite
+def _graph_and_orders(draw):
+    n = draw(st.integers(1, 24))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    b = draw(st.integers(1, 5))
+    perms = np.stack([draw(st.permutations(range(n))) for _ in range(b)])
+    return n, edges, perms
+
+
+class TestRunBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(_graph_and_orders())
+    def test_greedy_maximal_runs_of_uncoupled_sites(self, case):
+        n, edges, perms = case
+        pi = np.array([e[0] for e in edges], dtype=np.int64)
+        pj = np.array([e[1] for e in edges], dtype=np.int64)
+        bounds = _run_bounds(perms, pi, pj)
+        assert bounds.shape[1] == perms.shape[0]
+        assert (bounds[0] == 0).all() and (bounds[-1] == n).all()
+        assert (bounds[-2] < n).any()  # no round is empty for every replica
+        coupled = {frozenset(e) for e in edges}
+        for b, perm in enumerate(perms.tolist()):
+            starts = bounds[:, b].tolist()
+            # contiguous, nonempty runs covering each position once
+            runs = [(s, e) for s, e in zip(starts, starts[1:]) if s < e]
+            assert runs[0][0] == 0 and runs[-1][1] == n
+            assert all(e == s2 for (_, e), (s2, _) in zip(runs, runs[1:]))
+            assert all(s < n for s in starts[: len(runs)])
+            for k, (s, e) in enumerate(runs):
+                sites = perm[s:e]
+                # no coupled pair inside a run
+                assert not any(
+                    frozenset((u, v)) in coupled for u in sites for v in sites if u < v
+                )
+                # greedy: a run ends where its next site is coupled to it
+                if k > 0:
+                    prev = perm[runs[k - 1][0] : s]
+                    assert any(frozenset((perm[s], v)) in coupled for v in prev)
+
+    def test_chunked_placement_matches_one_pass(self, monkeypatch):
+        # 8 replicas of ER(200, 0.05): about 8000 (coupling, replica)
+        # entries, placed in one pass and in chunks of 2 couplings
+        q = random_sparse_qubo(gen_er_graph(200, 0.05, 9), 9)
+        rng = np.random.default_rng(9)
+        perms = np.stack([rng.permutation(q.n) for _ in range(8)])
+        whole = _run_bounds(perms, q.pair_i, q.pair_j)
+        monkeypatch.setattr("qubokit.sa._SEG_ENTRIES", 16)
+        assert np.array_equal(_run_bounds(perms, q.pair_i, q.pair_j), whole)
