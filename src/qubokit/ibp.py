@@ -6,10 +6,10 @@ sub-problem conditioned on the frozen complement.  That is a heat-bath
 block update, so at fixed beta the full Boltzmann distribution is
 stationary.
 
-`ibp_step` is the per-step reference (one replica at a time, readable);
-`ibp_run` drives a vectorized kernel that performs the same arithmetic on
-all replicas at once and consumes identical RNG streams, so both paths
-produce the same trajectories for a given seed.
+`ibp_step` is the per-step reference: it runs the kernel's stages on python
+floats, one replica at a time.  `ibp_run` drives the vectorized kernel, which
+does the same arithmetic on all replicas at once with identical RNG streams,
+so both paths produce the same trajectories for a given seed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .anneal import (
 )
 from .qubo import QuboInstance
 from .subtree import build_tree_problem, frozen_neighbor_arrays, select_subtree
-from .treebp import bp_pass, ensemble_sample, ensemble_upward, sample_tree
+from .treebp import _sample_scalar, _upward_scalar, ensemble_sample, ensemble_upward
 
 
 def ibp_step(
@@ -47,16 +47,15 @@ def ibp_step(
     edge_w = tree.edge_w.tolist()
     for r in range(ensemble.r):
         x = ensemble.states[r]
-        tp = build_tree_problem(q, tree, x, beta)
-        ms = bp_pass(tp)
-        bits = sample_tree(tp, ms, ensemble.rngs[r])
-        new = [bits[node] for node in tree.nodes]
+        eff = build_tree_problem(q, tree, x, beta).eff_field.tolist()
+        s_up, _ = _upward_scalar(tree, eff, beta)
+        u = ensemble.rngs[r].random(tree.size).tolist()
+        new = _sample_scalar(tree, s_up, beta, u)
         old = x[tree.nodes].tolist()
         d = 0.0
-        for b, new_p, old_p in zip(tp.eff_field.tolist(), new, old):
+        for b, new_p, old_p in zip(eff, new, old):
             d += b * (new_p - old_p)
-        for p in range(1, tree.size):
-            pp = parent[p]
+        for p, pp in enumerate(parent[1:], 1):
             d += edge_w[p] * (new[p] * new[pp] - old[p] * old[pp])
         x[tree.nodes] = new
         ensemble.energies[r] += d

@@ -67,64 +67,58 @@ def sigmoid(t):
 
 
 # ----------------------------------------------------------------------
-# Log-domain two-pass engine.
+# Scalar log-domain engine: the upward sweep, bp_pass, the root-first draw.
 # ----------------------------------------------------------------------
 
 
-def _pass_scalar(tree: SubTree, eff: np.ndarray, beta: float):
-    """Run both sweeps on python floats; eff is position-indexed, (M,).
+def _upward_scalar(tree: SubTree, eff: list[float], beta: float):
+    """Leaves-to-root sweep on python floats, the scalar twin of
+    ensemble_upward: lists (s_up, z_up) by position, from eff by position.
 
-    Returns (s_up, z_up, z_dn, belief_field), each (M,), where
-    s_up[p] = S_{p->parent} (for the root, its full belief field),
-    belief_field[p] = -beta*b_p + sum of all incoming z at p.  Children are
-    added into their parent's sum in decreasing position order; the
-    replica-ensemble kernels below keep that order, so they agree with
-    this sweep bit for bit.
+    s_up[p] = S_{p->parent} (for the root, its full belief field), z_up[p] =
+    z_{p->parent}.  Children are added into their parent's sum in decreasing
+    position order, as in the ensemble kernels, so the two agree bit for bit.
+    Raises NumericError on a non-finite in-tree coupling or upward field S.
     """
     m = tree.size
     parent = tree.parent_pos.tolist()
     edge_w = tree.edge_w.tolist()
-    effl = [float(v) for v in eff]
+    if not all(map(math.isfinite, edge_w)):
+        raise NumericError("non-finite in-tree coupling")
     la = np.logaddexp
-    s_up = [0.0] * m
-    z_up = [0.0] * m
-    chsum = [0.0] * m
+    s_up, z_up, chsum = [0.0] * m, [0.0] * m, [0.0] * m
     for p in range(m - 1, -1, -1):
-        s = -beta * effl[p] + chsum[p]
+        s = -beta * eff[p] + chsum[p]
+        if not math.isfinite(s):
+            raise NumericError(f"non-finite upward field at tree position {p}")
         s_up[p] = s
         if p > 0:
             bw = beta * edge_w[p]
             z = float(la(0.0, s - bw)) - float(la(0.0, s))
             z_up[p] = z
             chsum[parent[p]] += z
-    belief = [0.0] * m
-    z_dn = [0.0] * m
-    belief[0] = s_up[0]
-    for p in range(1, m):
-        s = belief[parent[p]] - z_up[p]
-        bw = beta * edge_w[p]
-        z = float(la(0.0, s - bw)) - float(la(0.0, s))
-        z_dn[p] = z
-        belief[p] = s_up[p] + z
-    return (np.asarray(s_up), np.asarray(z_up), np.asarray(z_dn), np.asarray(belief))
+    return s_up, z_up
 
 
 def bp_pass(tp: TreeProblem) -> MessageSet:
     """Exact fixed-point messages via one leaves-to-root-to-leaves sweep."""
-    tree = tp.tree
-    if not (np.isfinite(tp.eff_field).all() and np.isfinite(tree.edge_w).all()):
-        raise NumericError("non-finite effective field or coupling")
-    _, z_up, z_dn, _ = _pass_scalar(tree, tp.eff_field, tp.beta)
-    nodes, parent = tree.nodes, tree.parent_pos.tolist()
-    z_up, z_dn = z_up.tolist(), z_dn.tolist()
+    tree, beta = tp.tree, tp.beta
+    s_up, z_up = _upward_scalar(tree, tp.eff_field.tolist(), beta)
+    nodes, parent, edge_w = tree.nodes, tree.parent_pos.tolist(), tree.edge_w.tolist()
+    # belief[p] = -beta*b_p + sum of all incoming z at p
+    belief = [s_up[0]] * tree.size
     z: dict[tuple[int, int], float] = {}
     for p in range(1, tree.size):
+        s = belief[parent[p]] - z_up[p]
+        bw = beta * edge_w[p]
+        z_dn = float(softplus(s - bw)) - float(softplus(s))
+        belief[p] = s_up[p] + z_dn
         child, par = nodes[p], nodes[parent[p]]
         z[(child, par)] = z_up[p]
-        z[(par, child)] = z_dn[p]
+        z[(par, child)] = z_dn
     if not all(math.isfinite(v) for v in z.values()):
         raise NumericError("non-finite message produced")
-    return MessageSet(z, tp.beta)
+    return MessageSet(z, beta)
 
 
 def bp_pass_reference(tp: TreeProblem) -> MessageSet:
@@ -194,8 +188,8 @@ def _sigmoid_scalar(t: float) -> float:
 def _excl_parent_fields(tp: TreeProblem, ms: MessageSet) -> list[float]:
     """Per position p: -beta*b_p plus incoming z from children only.
 
-    Children are added in decreasing position order, mirroring the upward
-    sweep of _pass_scalar, so the result equals its s_up bit for bit.
+    Children are added in decreasing position order, mirroring
+    _upward_scalar, so on bp_pass's messages this equals its s_up exactly.
     """
     tree = tp.tree
     parent = tree.parent_pos.tolist()
@@ -206,6 +200,18 @@ def _excl_parent_fields(tp: TreeProblem, ms: MessageSet) -> list[float]:
     return [-beta * float(b) + c for b, c in zip(tp.eff_field, chsum)]
 
 
+def _sample_scalar(tree: SubTree, a: list[float], beta: float, u: list[float]) -> list[int]:
+    """Root-first draw of the bits by position from upward fields a and
+    uniforms u, the scalar twin of ensemble_sample."""
+    parent, edge_w = tree.parent_pos.tolist(), tree.edge_w.tolist()
+    bits = [0] * tree.size
+    bits[0] = int(u[0] < _sigmoid_scalar(a[0]))
+    for p in range(1, tree.size):
+        t = a[p] - beta * edge_w[p] * bits[parent[p]]
+        bits[p] = int(u[p] < _sigmoid_scalar(t))
+    return bits
+
+
 def sample_tree(
     tp: TreeProblem, ms: MessageSet, rng: np.random.Generator
 ) -> dict[int, int]:
@@ -214,17 +220,9 @@ def sample_tree(
     Root from its marginal, then children in selection order given the
     parent's drawn value.  Consumes exactly M uniforms from rng.
     """
-    tree = tp.tree
     a = _excl_parent_fields(tp, ms)
-    parent = tree.parent_pos.tolist()
-    edge_w = tree.edge_w.tolist()
-    u = rng.random(tree.size).tolist()
-    bits = [0] * tree.size
-    bits[0] = int(u[0] < _sigmoid_scalar(a[0]))
-    for p in range(1, tree.size):
-        t = a[p] - tp.beta * edge_w[p] * bits[parent[p]]
-        bits[p] = int(u[p] < _sigmoid_scalar(t))
-    return dict(zip(tree.nodes, bits))
+    u = rng.random(tp.tree.size).tolist()
+    return dict(zip(tp.tree.nodes, _sample_scalar(tp.tree, a, tp.beta, u)))
 
 
 def map_assign_tree(tp: TreeProblem, ms: MessageSet) -> dict[int, int]:
@@ -256,7 +254,8 @@ def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
 
     Levels are swept deepest first.  np.add.at adds a level's messages into
     their parents' sums one at a time in the level's decreasing position
-    order, the order of _pass_scalar, so each row equals its s_up exactly.
+    order, the order of _upward_scalar, so each row equals its s_up exactly.
+    Raises NumericError if any upward field S is not finite.
     """
     parent = tree.parent_pos
     bw = (beta * tree.edge_w)[:, None]
@@ -273,6 +272,8 @@ def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
         z -= softplus(s)
         np.add.at(flat, (parent[lev, None] * r + replica).ravel(), z.ravel())
     s_up[0] += chsum[0]
+    if not np.isfinite(s_up).all():
+        raise NumericError("non-finite upward field")
     return s_up.T
 
 

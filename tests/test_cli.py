@@ -298,6 +298,20 @@ class TestErrors:
         assert "numeric failure" in err
         assert out == ""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_upward_field_exits_3(self, tmp_path, capsys):
+        # finite energies, but -beta*h overflows in the IBP upward sweep
+        q = QuboInstance(3, h=[-1e307] * 3, couplings={(0, 1): 1.0, (1, 2): 1.0})
+        path = tmp_path / "field.qubo"
+        path.write_text(save_instance(q), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "solve", str(path), "--algo", "ibp",
+            "--beta-start", "20", "--beta-end", "20",
+        )
+        assert code == 3
+        assert "numeric failure" in err
+        assert out == ""
+
     def test_bad_replica_count_exits_1(self, instance_path, capsys):
         code, _, _ = run_cli(capsys, "solve", instance_path, "-R", "0")
         assert code == 1

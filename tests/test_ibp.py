@@ -5,6 +5,7 @@ import pytest
 
 from qubokit import (
     AnnealSchedule,
+    NumericError,
     QuboInstance,
     RandomGraph,
     ReplicaEnsemble,
@@ -85,6 +86,50 @@ class TestIbpStep:
         for _ in range(200):
             ibp_step(q, ens, 1.0, rng)
         assert np.abs(ens.energies - energy_batch(q, ens.states)).max() <= 1e-9
+
+
+# At beta=20, -beta*h overflows to +inf: the upward field of every tree
+# position is infinite, and its message would be inf - inf = NaN.
+OVERFLOWING_FIELD = QuboInstance(3, h=[-1e307] * 3, couplings={(0, 1): 1.0, (1, 2): 1.0})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNumericFailure:
+    @pytest.mark.parametrize(
+        "h, w",
+        [
+            ([np.inf, 0.0], 1.0),  # non-finite effective field
+            ([np.nan, 0.0], 1.0),
+            ([0.0, 0.0], np.inf),  # non-finite in-tree coupling
+            ([0.0, 0.0], -np.inf),
+            ([0.0, 0.0], np.nan),
+        ],
+    )
+    def test_step_raises_on_non_finite_inputs(self, h, w):
+        q = QuboInstance(2, h=h, couplings={(0, 1): w})
+        ens = ReplicaEnsemble.initialize(q, 2, 0)
+        with pytest.raises(NumericError):
+            ibp_step(q, ens, 1.0, np.random.default_rng(0))
+
+    def test_step_raises_on_overflowing_field(self):
+        ens = ReplicaEnsemble.initialize(OVERFLOWING_FIELD, 2, 0)
+        with pytest.raises(NumericError):
+            ibp_step(OVERFLOWING_FIELD, ens, 20.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_raises_on_overflowing_field(self, threads):
+        # unchecked, the kernel draws every bit from sigmoid(NaN) as 0 and
+        # ends on a finite but wrong best energy of -2e307
+        with pytest.raises(NumericError):
+            ibp_run(OVERFLOWING_FIELD, 4, AnnealSchedule(np.full(5, 20.0)), 0,
+                    threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_reaches_optimum_at_moderate_beta(self, threads):
+        trace = ibp_run(OVERFLOWING_FIELD, 4, AnnealSchedule(np.full(20, 1.0)), 0,
+                        threads=threads)
+        assert trace.best_energy == -3e307
+        assert trace.best_state.tolist() == [1, 1, 1]
 
 
 class TestIbpRun:

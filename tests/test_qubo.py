@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubokit import (
     ParseError,
@@ -158,6 +160,27 @@ class TestFileFormat:
         q2 = load_instance(save_instance(q))
         assert q2.h[0] == q.h[0]
         assert q2.pair_w[0] == q.pair_w[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30))
+    def test_round_trip_property(self, data, n):
+        # finite values from subnormals to +-1e308, -0.0 included; couplings
+        # on a random subset of pairs, so some variables stay isolated
+        value = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2e-308]),
+        )
+        h = data.draw(st.lists(value, min_size=n, max_size=n))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keys = []
+        if pairs:
+            keys = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60))
+        couplings = {key: data.draw(value) for key in keys}
+        q = QuboInstance(n, h=h, couplings=couplings)
+        q2 = load_instance(save_instance(q))
+        assert q2 == q
+        assert q2.h.tobytes() == (q.h + 0.0).tobytes()  # -0.0 is stored as 0.0
+        assert q2.pair_w.tobytes() == q.pair_w.tobytes()
 
     def test_header_and_entries(self):
         q = QuboInstance(2, h={0: 1.0}, couplings={(0, 1): -2.0})

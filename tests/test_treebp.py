@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubokit import (
     MessageSet,
@@ -19,7 +21,7 @@ from qubokit import (
     sample_tree,
 )
 from qubokit.oracle import state_bits
-from qubokit.treebp import _pass_scalar, ensemble_sample, ensemble_upward
+from qubokit.treebp import _sample_scalar, _upward_scalar, ensemble_sample, ensemble_upward
 
 
 def random_tree_problem(rng, m, beta, field_scale=1.0, w_scale=2.0):
@@ -274,9 +276,39 @@ class TestEnsembleKernels:
         bits = ensemble_sample(tree, s_up, tp.beta, u)
         for k in range(r):
             tpk = TreeProblem(tree, effs[k], tp.beta)
-            assert np.array_equal(s_up[k], _pass_scalar(tree, effs[k], tp.beta)[0])
+            assert s_up[k].tolist() == _upward_scalar(tree, effs[k].tolist(), tp.beta)[0]
             sample = sample_tree(tpk, bp_pass(tpk), np.random.default_rng(100 + k))
             assert [sample[n] for n in tree.nodes] == list(bits[k])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.sampled_from(["path", "star", "random"]),
+        m=st.integers(1, 40),
+        r=st.integers(1, 5),
+        beta=st.floats(0.01, 50.0),
+        scale=st.sampled_from([1e-3, 1.0, 1e2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_twins_agree_bit_for_bit(self, shape, m, r, beta, scale, seed):
+        # each kernel against its scalar twin on random trees; |S| stays
+        # below beta * scale * (1 + 40), far from overflow
+        rng = np.random.default_rng(seed)
+        if shape == "path":
+            parent_pos = [-1] + list(range(m - 1))
+        elif shape == "star":
+            parent_pos = [-1] + [0] * (m - 1)
+        else:
+            parent_pos = [-1] + [int(rng.integers(p)) for p in range(1, m)]
+        edge_w = np.concatenate([[0.0], rng.uniform(-scale, scale, m - 1)])
+        tree = SubTree(list(range(m)), np.array(parent_pos), edge_w)
+        effs = rng.uniform(-scale, scale, (r, m))
+        u = rng.random((r, m))
+        s_up = ensemble_upward(tree, effs, beta)
+        bits = ensemble_sample(tree, s_up, beta, u)
+        for k in range(r):
+            want, _ = _upward_scalar(tree, effs[k].tolist(), beta)
+            assert s_up[k].tobytes() == np.array(want).tobytes()
+            assert bits[k].tolist() == _sample_scalar(tree, want, beta, u[k].tolist())
 
     @pytest.mark.parametrize(
         "shape, seed", [("path", 0), ("star", 1), ("random", 2), ("random", 3)]
