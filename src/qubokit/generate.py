@@ -6,7 +6,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qubo import ParseError, QuboInstance
+from .qubo import ParseError, QuboInstance, _read_records
+
+
+def _add_edge(n: int, i: int, j: int, seen: set[tuple[int, int]]) -> None:
+    """Add the unordered edge (i, j) to seen as (min, max); ValueError on a
+    self-loop, a node outside [0, n) or an edge already in seen."""
+    if i == j:
+        raise ValueError(f"self-loop at node {i}")
+    a, b = (i, j) if i < j else (j, i)
+    if not 0 <= a < n or not 0 <= b < n:
+        raise ValueError(f"edge ({i},{j}) out of range [0, {n})")
+    if (a, b) in seen:
+        raise ValueError(f"duplicate edge ({a},{b})")
+    seen.add((a, b))
 
 
 @dataclass(frozen=True)
@@ -19,19 +32,10 @@ class RandomGraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        norm = []
-        seen = set()
+        seen: set[tuple[int, int]] = set()
         for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            a, b = (i, j) if i < j else (j, i)
-            if not 0 <= a < self.n or not 0 <= b < self.n:
-                raise ValueError(f"edge ({i},{j}) out of range [0, {self.n})")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate edge ({a},{b})")
-            seen.add((a, b))
-            norm.append((a, b))
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+            _add_edge(self.n, i, j, seen)
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @property
     def num_edges(self) -> int:
@@ -118,37 +122,16 @@ def save_graph(g: RandomGraph) -> str:
 
 
 def load_graph(text: str) -> RandomGraph:
-    n = m = -1
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n < 0:
-            if len(tokens) != 3 or tokens[0] != "graph":
-                raise ParseError(lineno, f"expected header 'graph <n> <m>', got {line!r}")
-            try:
-                n, m = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError(lineno, f"non-integer header fields in {line!r}") from None
-            if n < 1 or m < 0:
-                raise ParseError(lineno, f"invalid header values n={n}, m={m}")
-            continue
-        if len(edges) >= m:
-            raise ParseError(lineno, f"unexpected extra edge {line!r} (header declared {m})")
-        if len(tokens) != 2:
-            raise ParseError(lineno, f"expected 'i j', got {line!r}")
+    """Parse the edge-list format; raises ParseError with line numbers."""
+    n, records = _read_records(text, "graph <n> <m>", "i j")
+    seen: set[tuple[int, int]] = set()
+    for lineno, fields in records:
         try:
-            i, j = int(tokens[0]), int(tokens[1])
+            i, j = int(fields[0]), int(fields[1])
         except ValueError:
-            raise ParseError(lineno, f"malformed edge {line!r}") from None
-        edges.append((i, j))
-    if n < 0:
-        raise ParseError(1, "missing header line")
-    if len(edges) != m:
-        raise ParseError(1, f"header declared {m} edges, found {len(edges)}")
-    try:
-        return RandomGraph(n, tuple(edges))
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+            raise ParseError(lineno, f"malformed edge {' '.join(fields)!r}") from None
+        try:
+            _add_edge(n, i, j, seen)
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    return RandomGraph(n, tuple(seen))

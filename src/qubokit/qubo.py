@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -209,9 +210,48 @@ def delta_energy(q: QuboInstance, x, i: int) -> float:
 #   i j v        (nnz entry lines; 0-based, i <= j; i == j sets h[i],
 #                 i < j sets the pair coupling w[i,j])
 #
-# Values are serialised with repr(), i.e. shortest decimal string that
-# round-trips the exact float64, so load(save(q)) == q bitwise.
+# Values are written with repr(), the shortest string that round-trips the
+# float64, so load(save(q)) == q; a -0.0 field is not written, reads as 0.0.
 # ----------------------------------------------------------------------
+
+
+def _read_records(text: str, header: str, record: str):
+    """The rules both text formats share: blank and '#' lines are skipped;
+    a header like 'qubo <n> <nnz>' gives n and the record count; each record
+    has as many fields as the template record, e.g. 'i j v'.  Returns n and
+    an iterator of (line number, fields) per record.  Faults raise ParseError
+    on their line as the iterator reaches them, so a loader that checks each
+    record as it comes reports the first fault in the file.
+    """
+    stripped = enumerate(map(str.strip, text.splitlines()), start=1)
+    lines = ((k, line) for k, line in stripped if line and not line.startswith("#"))
+    head, line = next(lines, (1, ""))
+    if not line:
+        raise ParseError(head, "missing header line")
+    fields = line.split()
+    if len(fields) != 3 or fields[0] != header.split()[0]:
+        raise ParseError(head, f"expected header {header!r}, got {line!r}")
+    try:
+        n, count = int(fields[1]), int(fields[2])
+    except ValueError:
+        raise ParseError(head, f"non-integer header fields in {line!r}") from None
+    if n < 1 or count < 0:
+        raise ParseError(head, f"invalid header values in {line!r}")
+
+    def records():
+        width, found = len(record.split()), 0
+        for lineno, line in lines:
+            if found == count:
+                raise ParseError(lineno, f"extra record {line!r}; header declared {count}")
+            fields = line.split()
+            if len(fields) != width:
+                raise ParseError(lineno, f"expected {record!r}, got {line!r}")
+            found += 1
+            yield lineno, fields
+        if found != count:
+            raise ParseError(head, f"header declared {count} records, found {found}")
+
+    return n, records()
 
 
 def save_instance(q: QuboInstance) -> str:
@@ -226,53 +266,21 @@ def save_instance(q: QuboInstance) -> str:
 
 def load_instance(text: str) -> QuboInstance:
     """Parse the text instance format; raises ParseError with line numbers."""
-    n = nnz = -1
-    h: dict[int, float] = {}
-    couplings: dict[tuple[int, int], float] = {}
-    seen: set[tuple[int, int]] = set()
-    count = 0
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n < 0:
-            if len(tokens) != 3 or tokens[0] != "qubo":
-                raise ParseError(lineno, f"expected header 'qubo <n> <nnz>', got {line!r}")
-            try:
-                n, nnz = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError(lineno, f"non-integer header fields in {line!r}") from None
-            if n < 1 or nnz < 0:
-                raise ParseError(lineno, f"invalid header values n={n}, nnz={nnz}")
-            continue
-        if count >= nnz:
-            raise ParseError(lineno, f"unexpected extra entry {line!r} (header declared {nnz})")
-        if len(tokens) != 3:
-            raise ParseError(lineno, f"expected 'i j v', got {line!r}")
+    n, records = _read_records(text, "qubo <n> <nnz>", "i j v")
+    entries: dict[tuple[int, int], float] = {}
+    for lineno, fields in records:
         try:
-            i, j = int(tokens[0]), int(tokens[1])
-            v = float(tokens[2])
+            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
         except ValueError:
-            raise ParseError(lineno, f"malformed entry {line!r}") from None
+            raise ParseError(lineno, f"malformed entry {' '.join(fields)!r}") from None
         if not 0 <= i < n or not 0 <= j < n:
-            raise ParseError(lineno, f"index out of range [0, {n}) in {line!r}")
+            raise ParseError(lineno, f"index out of range [0, {n}) in ({i},{j})")
         if i > j:
-            raise ParseError(lineno, f"entries require i <= j, got {line!r}")
-        if not np.isfinite(v):
-            raise ParseError(lineno, f"non-finite value in {line!r}")
-        if (i, j) in seen:
+            raise ParseError(lineno, f"entries require i <= j, got ({i},{j})")
+        if not math.isfinite(v):
+            raise ParseError(lineno, f"non-finite value {v!r} at ({i},{j})")
+        if (i, j) in entries:
             raise ParseError(lineno, f"duplicate entry for pair ({i},{j})")
-        seen.add((i, j))
-        count += 1
-        if i == j:
-            h[i] = v
-        elif v != 0.0:
-            couplings[(i, j)] = v
-
-    if n < 0:
-        raise ParseError(1, "missing header line")
-    if count != nnz:
-        raise ParseError(1, f"header declared {nnz} entries, found {count}")
-    return QuboInstance(n, h=h, couplings=couplings)
+        entries[i, j] = v
+    h = {i: v for (i, j), v in entries.items() if i == j}
+    return QuboInstance(n, h=h, couplings={k: v for k, v in entries.items() if k[0] != k[1]})

@@ -10,7 +10,7 @@ remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,6 @@ class SubTree:
     nodes: list[int]
     parent_pos: np.ndarray
     edge_w: np.ndarray
-    children: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = len(self.nodes)
@@ -45,15 +44,21 @@ class SubTree:
         parent = self.parent_pos.tolist()
         if parent[0] != -1:
             raise ValueError("first node must be the root (parent_pos -1)")
-        self.children = [[] for _ in range(m)]
         for p in range(1, m):
             if not 0 <= parent[p] < p:
                 raise ValueError(f"parent of position {p} must precede it")
-            self.children[parent[p]].append(p)
 
     @property
     def size(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def children(self) -> list[list[int]]:
+        """Child positions of each position, in increasing order."""
+        children: list[list[int]] = [[] for _ in range(self.size)]
+        for p, par in enumerate(self.parent_pos.tolist()[1:], start=1):
+            children[par].append(p)
+        return children
 
     @cached_property
     def levels(self) -> list[np.ndarray]:

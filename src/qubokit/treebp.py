@@ -258,20 +258,22 @@ def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
     Raises NumericError if any upward field S is not finite.
     """
     parent = tree.parent_pos
-    bw = (beta * tree.edge_w)[:, None]
     r = eff.shape[0]
-    s_up = np.multiply(eff.T, -beta, order="C")
-    chsum = np.zeros_like(s_up)
-    flat = chsum.reshape(-1)  # entry p * r + k: position p, replica k
     replica = np.arange(r)
-    for lev in reversed(tree.levels[1:]):
-        s = s_up[lev]
-        s += chsum[lev]
-        s_up[lev] = s
-        z = softplus(s - bw[lev])
-        z -= softplus(s)
-        np.add.at(flat, (parent[lev, None] * r + replica).ravel(), z.ravel())
-    s_up[0] += chsum[0]
+    # The finiteness check below reports overflow; numpy need not warn too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bw = (beta * tree.edge_w)[:, None]
+        s_up = np.multiply(eff.T, -beta, order="C")
+        chsum = np.zeros_like(s_up)
+        flat = chsum.reshape(-1)  # entry p * r + k: position p, replica k
+        for lev in reversed(tree.levels[1:]):
+            s = s_up[lev]
+            s += chsum[lev]
+            s_up[lev] = s
+            z = softplus(s - bw[lev])
+            z -= softplus(s)
+            np.add.at(flat, (parent[lev, None] * r + replica).ravel(), z.ravel())
+        s_up[0] += chsum[0]
     if not np.isfinite(s_up).all():
         raise NumericError("non-finite upward field")
     return s_up.T

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,15 @@ class TestErrors:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("command", ["verify", "solve", "bench"])
+    def test_parse_error_names_its_line_and_exits_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.qubo"
+        bad.write_text("# c\nqubo 3 1\n0 1 -1.0\n\n1 2 1.0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert code == 2
+        assert err == "qubokit: parse error: line 5: extra record '1 2 1.0'; header declared 1\n"
+        assert out == ""
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "x.qubo", "--frobnicate")
         assert code == 1
@@ -304,12 +314,17 @@ class TestErrors:
         q = QuboInstance(3, h=[-1e307] * 3, couplings={(0, 1): 1.0, (1, 2): 1.0})
         path = tmp_path / "field.qubo"
         path.write_text(save_instance(q), encoding="utf-8")
-        code, out, err = run_cli(
-            capsys, "solve", str(path), "--algo", "ibp",
-            "--beta-start", "20", "--beta-end", "20",
-        )
+        # the warnings filter "always" and a fresh record show any numpy
+        # RuntimeWarning that would reach stderr outside the test
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "solve", str(path), "--algo", "ibp",
+                "--beta-start", "20", "--beta-end", "20", "-R", "2",
+            )
         assert code == 3
-        assert "numeric failure" in err
+        assert err == "qubokit: numeric failure: non-finite upward field\n"
+        assert [str(w.message) for w in caught] == []
         assert out == ""
 
     def test_bad_replica_count_exits_1(self, instance_path, capsys):

@@ -154,3 +154,21 @@ class TestGraphFile:
             load_graph("graph 3 1\n0 5\n")
         with pytest.raises(ParseError):
             load_graph("")
+
+    def test_parse_errors_carry_line_numbers(self):
+        cases = [
+            ("graph x 1\n0 1\n", 1),              # non-integer header
+            ("grph 3 1\n0 1\n", 1),               # wrong magic
+            ("graph 3 1\n0\n", 2),                # malformed edge
+            ("graph 3 1\n0 b\n", 2),              # non-integer node
+            ("graph 4 3\n0 1\n1 2\n2 2\n", 4),     # self-loop
+            ("graph 3 2\n0 1\n# c\n1 3\n", 4),     # node out of range
+            ("graph 3 2\n0 1\n\n1 0\n", 4),        # duplicate given as j i
+            ("graph 3 1\n0 1\n1 2\n", 3),          # extra edge
+            ("# c\ngraph 3 2\n0 1\n", 2),          # count mismatch
+            ("0 1\ngraph 3 1\n", 1),              # edge before header
+        ]
+        for text, line in cases:
+            with pytest.raises(ParseError) as err:
+                load_graph(text)
+            assert err.value.line == line, text

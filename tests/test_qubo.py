@@ -209,6 +209,11 @@ class TestFileFormat:
             ("qubo 2 1\n0 1 1.0\n0 0 1.0\n", 3),  # extra entry
             ("qubo 2 2\n0 1 1.0\n", 1),        # count mismatch
             ("0 1 1.0\n", 1),                  # entry before header
+            ("# c\nqubo 2 2\n0 1 1.0\n", 2),   # count mismatch: header's line
+            # the first fault in the file is the one reported
+            ("qubo 2 1\n0 1 a\n0 0 1.0\n", 2),  # malformed before extra entry
+            ("qubo 2 2\n1 0 1.0\n", 2),         # i > j before count mismatch
+            ("qubo 2 3\n0 1 1.0\n0 1\n", 3),    # short entry before count mismatch
         ]
         for text, line in cases:
             with pytest.raises(ParseError) as err:

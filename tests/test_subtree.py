@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubokit import (
     QuboInstance,
@@ -128,6 +130,35 @@ class TestSelection:
         assert digest.hexdigest() == (
             "12a2797ef5c1f3d79ccec94bbba9f8851d72feb75980af7ced25843bd8b7ef3e"
         )
+
+
+@st.composite
+def small_instances(draw):
+    """A QUBO on a random graph of 1-14 variables; the k-th edge has
+    coupling k + 1, so every tree edge can be traced to its pair."""
+    n = draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    return QuboInstance(n, couplings={e: float(k + 1) for k, e in enumerate(edges)})
+
+
+class TestSelectionInvariants:
+    @settings(max_examples=300, deadline=None)
+    @given(q=small_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_tree_is_connected_induced_and_maximal(self, q, seed):
+        tree = select_subtree(q, np.random.default_rng(seed))
+        assert is_connected(tree)
+        assert induced_edge_count(q, tree.nodes) == tree.size - 1
+        w = {(i, j): v for i, j, v in q.couplings()}
+        for parent, child, v in tree.tree_edges:
+            assert w[min(parent, child), max(parent, child)] == v
+        # growth stops only when no outside node has exactly one coupling
+        # into the tree
+        inside = set(tree.nodes)
+        for v in range(q.n):
+            if v not in inside:
+                assert sum(k in inside for k, _ in q.adjacency[v]) != 1, v
 
 
 class TestTreeProblem:
