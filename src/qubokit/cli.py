@@ -1,10 +1,10 @@
 """Command-line interface: gen, solve, bench, verify.
 
-Exit codes: 0 success, 1 usage or invalid argument, 2 I/O or parse error,
-3 numeric failure, which includes an instance whose sum |h| + sum |w|
-overflows: every command rejects it on loading.  CSV uses UTF-8, '\n' line
-endings, repr() floats (the shortest string that round-trips the exact
-float64), so equal runs produce byte-identical files.
+Exit codes: 0 success, 1 usage, invalid argument or out of memory, 2 I/O or
+parse error, 3 numeric failure, which includes an instance whose sum |h| +
+sum |w| overflows: every command rejects it on loading.  CSV uses UTF-8,
+'\n' line endings, repr() floats (the shortest string that round-trips the
+exact float64), so equal runs produce byte-identical files.
 
 Output conventions: `solve` prints its summary JSON to stdout (or to
 --summary) and writes the checkpoint CSV only when --csv is given; `bench`
@@ -225,6 +225,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ValueError as exc:
         print(f"qubokit: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"qubokit: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

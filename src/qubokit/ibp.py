@@ -82,9 +82,11 @@ def _make_ibp_step(
 
         def work(lo: int, hi: int) -> None:
             # Position-major (M, R) arrays throughout; see treebp.
-            xt = np.ascontiguousarray(states[lo:hi].T)
-            # Frozen-neighbor fields, accumulated column by column in
-            # adjacency order (masked and padding weights are 0, no-ops).
+            xt = states[lo:hi].T.copy()
+            old = xt[nodes].astype(np.float64)
+            # Frozen-neighbor fields, column by column in adjacency order,
+            # over the copy xt, tree bits set to 0 (padding weights are 0).
+            xt[nodes] = 0
             eff = np.repeat(hbase, hi - lo, axis=1)
             for col in range(idx.shape[1]):
                 eff += wmat[:, col, None] * xt[idx[:, col]]
@@ -93,7 +95,6 @@ def _make_ibp_step(
             for k in range(hi - lo):
                 rngs[lo + k].random(out=u[k])
             bits = ensemble_sample(tree, s_up, beta, u)
-            old = xt[nodes].astype(np.float64)
             new = bits.T.astype(np.float64)
             # Energy change: the field terms of positions 0..M-1, then the
             # edge terms of positions 1..M-1, summed in that order from 0

@@ -189,7 +189,7 @@ def energy_batch(q: QuboInstance, states: np.ndarray) -> np.ndarray:
 
 
 def delta_energy(q: QuboInstance, x, i: int) -> float:
-    """Energy change from flipping bit i, in O(degree(i)).
+    """Energy change from flipping bit i, over a row as wide as the max degree.
 
     Equals (1 - 2 x_i) * (h[i] + sum_{j in adj(i)} w[i,j] x_j).
     """

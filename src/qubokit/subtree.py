@@ -170,16 +170,15 @@ def select_subtree(q: QuboInstance, rng: np.random.Generator) -> SubTree:
 def build_tree_problem(
     q: QuboInstance, tree: SubTree, x: np.ndarray, beta: float
 ) -> TreeProblem:
-    """Freeze neighbors outside the tree at their current values in x."""
-    x = np.asarray(x)
-    in_tree = np.zeros(q.n, dtype=bool)
-    in_tree[tree.nodes] = True
+    """Freeze neighbors outside the tree at their current values in x: each
+    field sums over all neighbors, with the tree's own bits set to 0."""
+    xz = np.array(x, dtype=np.float64)
+    xz[tree.nodes] = 0.0
     b = np.empty(tree.size, dtype=np.float64)
     for p, i in enumerate(tree.nodes):
         acc = q.h[i]
         for k, w in q.adjacency[i]:
-            if not in_tree[k]:
-                acc += w * float(x[k])
+            acc += w * xz[k]
         b[p] = acc
     return TreeProblem(tree, b, beta)
 
@@ -192,13 +191,9 @@ def build_tree_problem(
 def frozen_neighbor_arrays(
     q: QuboInstance, tree: SubTree
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(M, D) index and weight arrays of each tree node's neighbors: the
-    tree nodes' rows of q.padded_adjacency(), with in-tree neighbors masked
-    to weight 0.  Padding has weight 0 as well, so only outside neighbors
-    contribute, in adjacency order."""
+    """(M, W) index and weight arrays: the tree nodes' rows of
+    q.padded_adjacency(), cut to the tree's widest row W.  Over states with
+    the tree's bits set to 0 they sum to build_tree_problem's fields."""
     pidx, pwgt = q.padded_adjacency()
-    nodes = np.asarray(tree.nodes)
-    in_tree = np.zeros(q.n, dtype=bool)
-    in_tree[nodes] = True
-    idx = pidx[nodes]
-    return idx, np.where(in_tree[idx], 0.0, pwgt[nodes])
+    width = max(map(q.degree, tree.nodes))
+    return pidx[tree.nodes, :width], pwgt[tree.nodes, :width]

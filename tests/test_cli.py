@@ -275,6 +275,17 @@ class TestErrors:
         assert err == "qubokit: parse error: line 5: extra record '1 2 1.0'; header declared 1\n"
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["verify", "solve", "bench"])
+    def test_unallocatable_instance_exits_1(self, tmp_path, capsys, command):
+        # numpy refuses the 728 TiB field array at once; nothing is filled
+        huge = tmp_path / "huge.qubo"
+        huge.write_text("qubo 100000000000000 0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, command, str(huge))
+        assert code == 1
+        assert err.startswith("qubokit: out of memory: ")
+        assert err.count("\n") == 1
+        assert out == ""
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "x.qubo", "--frobnicate")
         assert code == 1

@@ -36,6 +36,20 @@ def integer_tree_instance(n, seed):
     return QuboInstance(n, h=h, couplings=couplings)
 
 
+def with_hub(q, seed):
+    """q plus variable 0 coupled to every other variable: existing couplings
+    keep their weights, new ones are uniform in [-1, 1].  The tree's widest
+    row is then often narrower than the graph's maximum degree."""
+    rng = np.random.default_rng(seed)
+    w = {(i, j): v for i, j, v in q.couplings()}
+    for j in range(1, q.n):
+        w.setdefault((0, j), float(rng.uniform(-1.0, 1.0)))
+    return QuboInstance(q.n, h=q.h, couplings=w)
+
+
+HUB = pytest.mark.parametrize("hub", [False, True], ids=["plain", "hub"])
+
+
 class TestIbpStep:
     def test_beta_validated(self):
         q = QuboInstance(2, h=[0.0, 0.0], couplings={(0, 1): 1.0})
@@ -133,10 +147,13 @@ class TestNumericFailure:
 
 
 class TestIbpRun:
-    def test_matches_scalar_reference_exactly(self):
+    @HUB
+    def test_matches_scalar_reference_exactly(self, hub):
         # the vectorized kernel must reproduce the scalar step bit for bit:
         # same seeds, 400 steps, identical final states and best energy
         q = random_sparse_qubo(gen_er_graph(24, 0.18, 0), 1)
+        if hub:
+            q = with_hub(q, 2)
         steps, beta, seed = 400, 1.3, 7
 
         root = np.random.SeedSequence(seed)
@@ -159,8 +176,11 @@ class TestIbpRun:
         trace = ibp_run(q, 4, AnnealSchedule(np.full(steps, 1.0)), seed)
         assert trace.checkpoints[-1].spin_updates == want
 
-    def test_thread_count_does_not_change_trace(self):
+    @HUB
+    def test_thread_count_does_not_change_trace(self, hub):
         q = random_sparse_qubo(gen_er_graph(30, 0.12, 6), 7)
+        if hub:
+            q = with_hub(q, 8)
         sched = geometric_schedule(0.5, 5.0, 60)
         base = ibp_run(q, 8, sched, seed=1, threads=1)
         for t in (2, 8):

@@ -186,18 +186,22 @@ class TestTreeProblem:
         assert list(tp.eff_field) == [0.5, -1.0]
 
     def test_frozen_neighbor_arrays_give_effective_fields(self):
-        # masked rows of the padded adjacency sum, in column order, to the
-        # effective fields of build_tree_problem
+        # the tree's rows of the padded adjacency, as wide as its widest
+        # row, sum in column order over x with the tree's bits set to 0 to
+        # the effective fields of build_tree_problem
         rng = np.random.default_rng(13)
         q = random_sparse_qubo(gen_er_graph(60, 0.1, 3), 4)
         for _ in range(10):
             tree = select_subtree(q, rng)
             x = (rng.random(q.n) < 0.5).astype(np.uint8)
             idx, wmat = frozen_neighbor_arrays(q, tree)
-            assert idx.shape == wmat.shape == (tree.size, idx.shape[1])
+            width = max(q.degree(i) for i in tree.nodes)
+            assert idx.shape == wmat.shape == (tree.size, width)
+            xz = x.copy()
+            xz[tree.nodes] = 0
             eff = q.h[tree.nodes]
-            for col in range(idx.shape[1]):
-                eff += wmat[:, col] * x[idx[:, col]]
+            for col in range(width):
+                eff += wmat[:, col] * xz[idx[:, col]]
             tp = build_tree_problem(q, tree, x, 1.0)
             assert np.array_equal(eff, tp.eff_field)
 
