@@ -110,6 +110,24 @@ class ReplicaEnsemble:
         return cls(states, energy_batch(q, states), rngs)
 
 
+def _median_p01(r: int) -> Callable[[np.ndarray], list[float]]:
+    """np.percentile(e, [50.0, 1.0]) over r values, to the bit and without its
+    fixed cost: numpy's partition, then its linear rule (_lerp) on floats.  A
+    sort would not do: it may swap tied -0.0 and 0.0, and the sign can show."""
+    picks = []  # numpy's (previous, next, gamma) per quantile
+    for v in ((r - 1) * 0.5, (r - 1) * 0.01):
+        g = int(v)  # v >= 0; at r = 1 numpy reads index -1 with gamma v + 1
+        picks.append((g, min(g + 1, r - 1), v - g if r > 1 else v + 1))
+    kth = np.array(sorted({0, r - 1, *(i for p in picks for i in p[:2])}))
+
+    def quantiles(e: np.ndarray) -> list[float]:
+        s = np.partition(e, kth)
+        abt = [(float(s[i]), float(s[j]), t) for i, j, t in picks]
+        return [a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t) for a, b, t in abt]
+
+    return quantiles
+
+
 # A step function advances the whole ensemble at one beta and returns the
 # per-replica spin-update count of that step.
 StepFn = Callable[[float], int]
@@ -171,10 +189,11 @@ def run_schedule(
         best_x = ens.states[best_pos].copy()
         checkpoints: list[Checkpoint] = []
         u = 0
+        median_p01 = _median_p01(r)
 
         def record() -> None:
-            med, p01 = np.percentile(ens.energies, [50.0, 1.0])
-            checkpoints.append(Checkpoint(u, best_e, float(med), float(p01)))
+            med, p01 = median_p01(ens.energies)
+            checkpoints.append(Checkpoint(u, best_e, med, p01))
 
         record()
         n_betas = betas.size

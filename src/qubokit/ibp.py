@@ -30,10 +30,7 @@ from .treebp import _sample_scalar, _upward_scalar, ensemble_sample, ensemble_up
 
 
 def ibp_step(
-    q: QuboInstance,
-    ensemble: ReplicaEnsemble,
-    beta: float,
-    rng: np.random.Generator,
+    q: QuboInstance, ensemble: ReplicaEnsemble, beta: float, rng: np.random.Generator
 ) -> int:
     """One move: resample a shared random sub-tree in every replica.
 
@@ -62,17 +59,41 @@ def ibp_step(
     return tree.size
 
 
+class _BufferedIntegers:
+    """Generator.integers(k), 1 <= k <= 2**32, draw for draw from blocks of
+    32-bit words by numpy's rule (D. Lemire, ACM TOMACS 29(1), 2019): one
+    word v per try, m = v * k, retry while m's low word is below
+    (2**32 - k) % k, return m >> 32; k = 1 draws nothing.  The generator
+    runs up to a block ahead, so it must be private to its user."""
+
+    _BLOCK = 1024
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._words: list[int] = []  # next word last
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        while True:
+            if not self._words:
+                words = self._rng.integers(0, 2**32, self._BLOCK, dtype=np.uint32)
+                self._words = words.tolist()[::-1]
+            m = self._words.pop() * k
+            # The low word is below the threshold only if it is below k.
+            if m & 0xFFFFFFFF >= k or m & 0xFFFFFFFF >= (2**32 - k) % k:
+                return m >> 32
+
+
 def _make_ibp_step(
-    q: QuboInstance,
-    ens: ReplicaEnsemble,
-    chain_rng: np.random.Generator,
-    run_chunks: ChunkRunner,
+    q: QuboInstance, ens: ReplicaEnsemble, chain_rng: np.random.Generator, run_chunks: ChunkRunner
 ) -> StepFn:
     """Vectorized ibp_step over the replica axis, chunked for threading."""
     states, energies, rngs = ens.states, ens.energies, ens.rngs
+    draws = _BufferedIntegers(chain_rng)
 
     def step(beta: float) -> int:
-        tree = select_subtree(q, chain_rng)
+        tree = select_subtree(q, draws)
         idx, wmat = frozen_neighbor_arrays(q, tree)
         nodes = np.asarray(tree.nodes)
         hbase = q.h[nodes, None]

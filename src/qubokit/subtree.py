@@ -10,7 +10,7 @@ remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,11 +25,14 @@ class SubTree:
     parent_pos[p] is the position (index into nodes) of node p's parent,
     -1 for the root.  edge_w[p] is the coupling to the parent, 0.0 at the
     root.  Selection order is topological: parents precede children.
+    select_subtree records the widest adjacency row among the nodes.
     """
 
     nodes: list[int]
     parent_pos: np.ndarray
     edge_w: np.ndarray
+    _width: int | None = field(default=None, repr=False, compare=False)
+    _depth: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = len(self.nodes)
@@ -44,9 +47,11 @@ class SubTree:
         parent = self.parent_pos.tolist()
         if parent[0] != -1:
             raise ValueError("first node must be the root (parent_pos -1)")
+        self._depth = depth = [0] * m
         for p in range(1, m):
             if not 0 <= parent[p] < p:
                 raise ValueError(f"parent of position {p} must precede it")
+            depth[p] = depth[parent[p]] + 1
 
     @property
     def size(self) -> int:
@@ -61,18 +66,22 @@ class SubTree:
         return children
 
     @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+        """(order, index, bounds, up): positions by depth, root level first,
+        each level in decreasing position order (the upward sweep's order of
+        adding children into a parent's sum) at order[bounds[d]:bounds[d+1]];
+        index inverts order, and up[j] is the index of order[j]'s parent."""
+        rev = np.array(self._depth[::-1])
+        order = (self.size - 1) - np.argsort(rev, kind="stable")
+        index = np.argsort(order)
+        up = index[self.parent_pos[order]]
+        return order, index, [0, *np.cumsum(np.bincount(rev)).tolist()], up
+
+    @property
     def levels(self) -> list[np.ndarray]:
-        """Positions grouped by depth, root level first; within a level in
-        decreasing position order, the order in which the upward sweep
-        adds children into their parent's sum."""
-        parent = self.parent_pos.tolist()
-        depth = [0] * self.size
-        for p in range(1, self.size):
-            depth[p] = depth[parent[p]] + 1
-        groups: list[list[int]] = [[] for _ in range(max(depth) + 1)]
-        for p in range(self.size - 1, -1, -1):
-            groups[depth[p]].append(p)
-        return [np.array(g, dtype=np.int64) for g in groups]
+        """Positions grouped by depth, as laid out by _layout."""
+        order, _, bounds, _ = self._layout
+        return np.split(order, bounds[1:-1])
 
     @property
     def tree_edges(self) -> list[tuple[int, int, float]]:
@@ -115,12 +124,11 @@ class TreeProblem:
 
 def select_subtree(q: QuboInstance, rng: np.random.Generator) -> SubTree:
     """Grow a random induced sub-tree; frontier = outside nodes with exactly
-    one coupling into the current set."""
+    one coupling into the current set.  rng is used only as rng.integers(k)."""
     n = q.n
     adjacency = q.adjacency
     integers = rng.integers
-    in_tree = [False] * n
-    conn = [0] * n
+    conn = [0] * n  # couplings into the set; a member's is raised to 3
     entry_parent = [-1] * n
     entry_w = [0.0] * n
     frontier: list[int] = []
@@ -135,12 +143,14 @@ def select_subtree(q: QuboInstance, rng: np.random.Generator) -> SubTree:
     nodes = [u]
     parent_pos = [-1]
     edge_w = [0.0]
+    width = 0
     while True:
         pos_u = len(nodes) - 1
-        in_tree[u] = True
-        for v, w in adjacency[u]:
-            if in_tree[v]:
-                continue
+        conn[u] = 3  # so members never count as 1 or 2 couplings again
+        row = adjacency[u]
+        if len(row) > width:
+            width = len(row)
+        for v, w in row:
             c = conn[v] = conn[v] + 1
             if c == 1:
                 entry_parent[v] = pos_u
@@ -164,7 +174,7 @@ def select_subtree(q: QuboInstance, rng: np.random.Generator) -> SubTree:
         nodes.append(u)
         parent_pos.append(entry_parent[u])
         edge_w.append(entry_w[u])
-    return SubTree(nodes, np.array(parent_pos), np.array(edge_w))
+    return SubTree(nodes, np.array(parent_pos), np.array(edge_w), _width=width)
 
 
 def build_tree_problem(
@@ -192,8 +202,9 @@ def frozen_neighbor_arrays(
     q: QuboInstance, tree: SubTree
 ) -> tuple[np.ndarray, np.ndarray]:
     """(M, W) index and weight arrays: the tree nodes' rows of
-    q.padded_adjacency(), cut to the tree's widest row W.  Over states with
-    the tree's bits set to 0 they sum to build_tree_problem's fields."""
+    q.padded_adjacency(), cut to the tree's widest row W (as recorded by
+    select_subtree).  Over states with the tree's bits set to 0 they sum to
+    build_tree_problem's fields."""
     pidx, pwgt = q.padded_adjacency()
-    width = max(map(q.degree, tree.nodes))
+    width = tree._width or max(map(q.degree, tree.nodes))
     return pidx[tree.nodes, :width], pwgt[tree.nodes, :width]

@@ -242,10 +242,11 @@ def map_assign_tree(tp: TreeProblem, ms: MessageSet) -> dict[int, int]:
 
 # ----------------------------------------------------------------------
 # Replica-ensemble kernels: the same recurrences on (R, M) arrays, one
-# vectorized step per tree level (SubTree.levels), so the Python loop runs
-# over the tree's depth rather than its size.  Inside, arrays are
-# position-major, (M, R), so a level's rows are gathered whole; at the
-# interface they are (R, M), and a transposed view costs nothing.
+# vectorized step per tree level, so the Python loop runs over the tree's
+# depth rather than its size.  Each kernel gathers its inputs once into
+# SubTree._layout's order, position-major (M, R), so that a level is a
+# slice of rows, and scatters its result back once.  At the interface
+# arrays are (R, M) in position order; a transposed view costs nothing.
 # ----------------------------------------------------------------------
 
 
@@ -257,39 +258,37 @@ def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
     order, the order of _upward_scalar, so each row equals its s_up exactly.
     Raises NumericError if any upward field S is not finite.
     """
-    parent = tree.parent_pos
+    order, index, bounds, up = tree._layout
     r = eff.shape[0]
-    replica = np.arange(r)
     # The finiteness check below reports overflow; numpy need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
-        bw = (beta * tree.edge_w)[:, None]
-        s_up = np.multiply(eff.T, -beta, order="C")
+        bw = (beta * tree.edge_w[order])[:, None]
+        s_up = eff.T[order] * -beta
         chsum = np.zeros_like(s_up)
-        flat = chsum.reshape(-1)  # entry p * r + k: position p, replica k
-        for lev in reversed(tree.levels[1:]):
-            s = s_up[lev]
-            s += chsum[lev]
-            s_up[lev] = s
-            z = softplus(s - bw[lev])
+        flat = chsum.reshape(-1)  # entry j * r + k: layout index j, replica k
+        into = (up[:, None] * r + np.arange(r)).reshape(-1)  # the parent's entry
+        for lo, hi in zip(bounds[-2:0:-1], bounds[:1:-1]):
+            s = s_up[lo:hi]
+            s += chsum[lo:hi]
+            z = softplus(s - bw[lo:hi])
             z -= softplus(s)
-            np.add.at(flat, (parent[lev, None] * r + replica).ravel(), z.ravel())
+            np.add.at(flat, into[lo * r : hi * r], z.reshape(-1))
         s_up[0] += chsum[0]
     if not np.isfinite(s_up).all():
         raise NumericError("non-finite upward field")
-    return s_up.T
+    # Into chsum's free buffer; "clip" (index is in range) skips a buffered copy.
+    return np.take(s_up, index, axis=0, out=chsum, mode="clip").T
 
 
-def ensemble_sample(
-    tree: SubTree, s_up: np.ndarray, beta: float, u: np.ndarray
-) -> np.ndarray:
+def ensemble_sample(tree: SubTree, s_up: np.ndarray, beta: float, u: np.ndarray) -> np.ndarray:
     """Sample all replicas' tree bits from uniforms u of shape (R, M),
     root first, one level at a time, each child given its parent's bit."""
-    parent = tree.parent_pos
-    bw = (beta * tree.edge_w)[:, None]
-    s_up, u = s_up.T, u.T
-    bits = np.zeros(u.shape, dtype=np.uint8)
-    bits[0] = u[0] < sigmoid(s_up[0])
-    for lev in tree.levels[1:]:
-        t = s_up[lev] - bw[lev] * bits[parent[lev]]
-        bits[lev] = u[lev] < sigmoid(t)
-    return bits.T
+    order, index, bounds, up = tree._layout
+    bw = (beta * tree.edge_w[order])[:, None]
+    a, u = s_up.T[order], u.T[order]
+    bits = np.empty(u.shape, dtype=np.uint8)
+    bits[0] = u[0] < sigmoid(a[0])
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        t = a[lo:hi] - bw[lo:hi] * bits[up[lo:hi]]
+        bits[lo:hi] = u[lo:hi] < sigmoid(t)
+    return bits[index].T

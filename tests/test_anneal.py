@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubokit import (
     AnnealSchedule,
@@ -16,6 +18,7 @@ from qubokit import (
     run_schedule,
     sa_run,
 )
+from qubokit.anneal import _median_p01
 from qubokit.qubo import energy_batch
 
 
@@ -232,3 +235,38 @@ class TestTraceInvariants:
             other = sa_run(q, 8, sched, seed=3, threads=t)
             assert other.checkpoints == base.checkpoints
             assert np.array_equal(other.final_states, base.final_states)
+
+
+def percentile_bytes(e):
+    return np.percentile(e, [50.0, 1.0]).tobytes()
+
+
+class TestCheckpointQuantiles:
+    def test_every_replica_count_to_300(self):
+        # ties, signed zeros and mixed magnitudes at every R from 1 to 300
+        rng = np.random.default_rng(0)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 5e-324, -1e-300, 1e150, -1e150])
+        for r in range(1, 301):
+            quantiles = _median_p01(r)
+            for e in (
+                rng.normal(size=r) * 10.0 ** rng.integers(-5, 6, size=r),
+                rng.integers(-3, 4, size=r).astype(np.float64),
+                rng.choice(pool, size=r),
+                rng.choice([0.0, -0.0], size=r),
+            ):
+                assert np.array(quantiles(e)).tobytes() == percentile_bytes(e), (r, e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        e=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
+                st.floats(-1e150, 1e150),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_equal_numpy_percentile(self, e):
+        e = np.array(e)
+        assert np.array(_median_p01(e.size)(e)).tobytes() == percentile_bytes(e)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubokit import (
     AnnealSchedule,
@@ -20,6 +22,7 @@ from qubokit import (
     total_variation,
     tree_dp_min,
 )
+from qubokit.ibp import _BufferedIntegers
 from qubokit.oracle import state_index
 from qubokit.qubo import energy_batch
 
@@ -214,3 +217,63 @@ class TestIbpRun:
             if t >= 500:
                 counts[state_index(ens.states[0])] += 1
         assert total_variation(counts / counts.sum(), dist.probabilities) < 0.03
+
+
+def buffered(rng, block):
+    class Draws(_BufferedIntegers):
+        _BLOCK = block
+
+    return Draws(rng)
+
+
+class TestBufferedIntegers:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pending=st.booleans(),
+        block=st.integers(1, 9),
+        ks=st.lists(
+            st.one_of(
+                st.just(1),
+                st.integers(2, 400),
+                st.integers(2**31 + 1, 2**31 + 2**16),
+                st.integers(2**32 - 2**16, 2**32),
+                st.integers(1, 2**32),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_matches_generator_integers_draw_for_draw(self, seed, pending, block, ks):
+        # blocks as short as one word, so runs cross block boundaries; k = 1
+        # consumes nothing; just above 2**31 about half the tries are
+        # rejected; `pending` leaves half of a 64-bit output unread first
+        want, mine = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending:
+            for g in (want, mine):
+                g.integers(0, 2**32, dtype=np.uint32)
+        draws = buffered(mine, block)
+        assert [draws.integers(k) for k in ks] == [int(want.integers(k)) for k in ks]
+        if block == 1:  # fetched one word at a time: exactly what numpy used
+            assert mine.bit_generator.state == want.bit_generator.state
+
+    def test_rejection_loop_consumes_extra_words(self):
+        k, n = 2**31 + 1, 200
+        want, mine = np.random.default_rng(3), np.random.default_rng(3)
+        draws = buffered(mine, 1)
+        assert [draws.integers(k) for _ in range(n)] == [int(want.integers(k)) for _ in range(n)]
+        words = np.random.default_rng(3)
+        words.integers(0, 2**32, size=n, dtype=np.uint32)
+        assert mine.bit_generator.state == want.bit_generator.state
+        assert words.bit_generator.state != want.bit_generator.state
+
+
+class TestSelectionRecords:
+    @HUB
+    def test_width_is_the_widest_row(self, hub):
+        q = random_sparse_qubo(gen_er_graph(60, 0.1, 3), 4)
+        if hub:
+            q = with_hub(q, 5)
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            tree = select_subtree(q, rng)
+            assert tree._width == max(q.degree(i) for i in tree.nodes)

@@ -16,9 +16,12 @@ from qubokit import (
     bp_pass,
     bp_pass_reference,
     exact_marginals,
+    gen_er_graph,
     map_assign_tree,
     marginal,
+    random_sparse_qubo,
     sample_tree,
+    select_subtree,
 )
 from qubokit.oracle import state_bits
 from qubokit.treebp import _sample_scalar, _upward_scalar, ensemble_sample, ensemble_upward
@@ -323,3 +326,33 @@ class TestEnsembleKernels:
             assert depth[int(tree.parent_pos[p])] == depth[p] - 1
         for lev in levels:
             assert lev == sorted(lev, reverse=True)
+
+    @pytest.mark.parametrize(
+        "shape, seed", [("path", 0), ("star", 1), ("random", 2), ("random", 3)]
+    )
+    def test_layout_is_level_contiguous(self, shape, seed):
+        tree = shaped_tree_problem(shape, seed).tree
+        check_layout(tree)
+
+    def test_layout_of_selected_trees(self):
+        q = random_sparse_qubo(gen_er_graph(80, 0.06, 1), 2)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            check_layout(select_subtree(q, rng))
+
+
+def check_layout(tree):
+    """Root first, each level contiguous and in decreasing position order,
+    each parent in the level above."""
+    order, index, bounds, up = tree._layout
+    assert sorted(order.tolist()) == list(range(tree.size))
+    assert np.array_equal(order[index], np.arange(tree.size))
+    assert order[0] == 0 and bounds[:2] == [0, 1] and bounds[-1] == tree.size
+    parent = tree.parent_pos.tolist()
+    for d in range(1, len(bounds) - 1):
+        lo, hi = bounds[d], bounds[d + 1]
+        lev = order[lo:hi].tolist()
+        assert lo < hi and lev == sorted(lev, reverse=True)
+        for j in range(lo, hi):
+            assert bounds[d - 1] <= up[j] < lo
+            assert order[up[j]] == parent[order[j]]
