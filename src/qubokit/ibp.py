@@ -30,7 +30,10 @@ from .treebp import _sample_scalar, _upward_scalar, ensemble_sample, ensemble_up
 
 
 def ibp_step(
-    q: QuboInstance, ensemble: ReplicaEnsemble, beta: float, rng: np.random.Generator
+    q: QuboInstance,
+    ensemble: ReplicaEnsemble,
+    beta: float,
+    rng: np.random.Generator,
 ) -> int:
     """One move: resample a shared random sub-tree in every replica.
 
@@ -86,7 +89,10 @@ class _BufferedIntegers:
 
 
 def _make_ibp_step(
-    q: QuboInstance, ens: ReplicaEnsemble, chain_rng: np.random.Generator, run_chunks: ChunkRunner
+    q: QuboInstance,
+    ens: ReplicaEnsemble,
+    chain_rng: np.random.Generator,
+    run_chunks: ChunkRunner,
 ) -> StepFn:
     """Vectorized ibp_step over the replica axis, chunked for threading."""
     states, energies, rngs = ens.states, ens.energies, ens.rngs

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Protocol
 
 import numpy as np
 
@@ -25,13 +26,13 @@ class SubTree:
     parent_pos[p] is the position (index into nodes) of node p's parent,
     -1 for the root.  edge_w[p] is the coupling to the parent, 0.0 at the
     root.  Selection order is topological: parents precede children.
-    select_subtree records the widest adjacency row among the nodes.
+    select_subtree records the nodes' widest adjacency row in _width.
     """
 
     nodes: list[int]
     parent_pos: np.ndarray
     edge_w: np.ndarray
-    _width: int | None = field(default=None, repr=False, compare=False)
+    _width: int | None = field(default=None, init=False, repr=False, compare=False)
     _depth: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -122,7 +123,11 @@ class TreeProblem:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
 
-def select_subtree(q: QuboInstance, rng: np.random.Generator) -> SubTree:
+class _Integers(Protocol):
+    def integers(self, k: int, /) -> int: ...
+
+
+def select_subtree(q: QuboInstance, rng: _Integers) -> SubTree:
     """Grow a random induced sub-tree; frontier = outside nodes with exactly
     one coupling into the current set.  rng is used only as rng.integers(k)."""
     n = q.n
@@ -174,7 +179,9 @@ def select_subtree(q: QuboInstance, rng: np.random.Generator) -> SubTree:
         nodes.append(u)
         parent_pos.append(entry_parent[u])
         edge_w.append(entry_w[u])
-    return SubTree(nodes, np.array(parent_pos), np.array(edge_w), _width=width)
+    tree = SubTree(nodes, np.array(parent_pos), np.array(edge_w))
+    tree._width = width
+    return tree
 
 
 def build_tree_problem(
@@ -202,9 +209,8 @@ def frozen_neighbor_arrays(
     q: QuboInstance, tree: SubTree
 ) -> tuple[np.ndarray, np.ndarray]:
     """(M, W) index and weight arrays: the tree nodes' rows of
-    q.padded_adjacency(), cut to the tree's widest row W (as recorded by
-    select_subtree).  Over states with the tree's bits set to 0 they sum to
-    build_tree_problem's fields."""
+    q.padded_adjacency(), cut to the widest row W that select_subtree
+    recorded (uncut for a tree built by hand).  Over states with the tree's
+    bits set to 0 they sum to build_tree_problem's fields."""
     pidx, pwgt = q.padded_adjacency()
-    width = tree._width or max(map(q.degree, tree.nodes))
-    return pidx[tree.nodes, :width], pwgt[tree.nodes, :width]
+    return pidx[tree.nodes, : tree._width], pwgt[tree.nodes, : tree._width]

@@ -280,7 +280,9 @@ def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
     return np.take(s_up, index, axis=0, out=chsum, mode="clip").T
 
 
-def ensemble_sample(tree: SubTree, s_up: np.ndarray, beta: float, u: np.ndarray) -> np.ndarray:
+def ensemble_sample(
+    tree: SubTree, s_up: np.ndarray, beta: float, u: np.ndarray
+) -> np.ndarray:
     """Sample all replicas' tree bits from uniforms u of shape (R, M),
     root first, one level at a time, each child given its parent's bit."""
     order, index, bounds, up = tree._layout

@@ -205,6 +205,21 @@ class TestTreeProblem:
             tp = build_tree_problem(q, tree, x, 1.0)
             assert np.array_equal(eff, tp.eff_field)
 
+    def test_frozen_neighbor_arrays_of_a_hand_built_tree(self):
+        # no recorded width: the full padded rows, whose zero-weight padding
+        # leaves the fields unchanged
+        q = QuboInstance(
+            4, h=[0.5, -1.0, 2.0, 0.0], couplings={(0, 1): 1.0, (1, 2): 3.0, (2, 3): 1.0}
+        )
+        t = SubTree([1, 0], np.array([-1, 0]), np.array([0.0, 1.0]))
+        idx, wmat = frozen_neighbor_arrays(q, t)
+        assert idx.shape == wmat.shape == (2, 2)
+        x = np.array([1, 1, 1, 1], dtype=np.uint8)
+        xz = x.copy()
+        xz[t.nodes] = 0
+        eff = q.h[t.nodes] + (wmat * xz[idx]).sum(axis=1)
+        assert np.array_equal(eff, build_tree_problem(q, t, x, 1.0).eff_field)
+
     def test_hand_worked_effective_field(self):
         # path 0-1-2, node 2 frozen at 1, w_12 = -2, h_1 = 0.5: b_1 = -1.5
         q = QuboInstance(3, h=[0.0, 0.5, 0.0], couplings={(0, 1): 1.0, (1, 2): -2.0})
