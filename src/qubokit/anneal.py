@@ -3,8 +3,9 @@
 Both solvers are Markov chains over the same ensemble machinery: R replica
 states with cached energies and one independent RNG stream per replica,
 all derived from a single master seed.  The driver walks a beta schedule,
-counts per-replica spin updates, and records (spin_updates, best, median,
-p01) checkpoints.
+counts per-replica spin updates u, and records (spin_updates, best, median,
+p01) checkpoints: the initial one, one whenever u crosses a multiple of
+checkpoint_every (after every step when it is None), and a final one.
 
 Budget semantics: with budget=None every schedule entry gets exactly one
 step (the literal reading of the algorithm's loop over betas).  With a
@@ -25,6 +26,7 @@ any thread count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -147,8 +149,6 @@ def run_schedule(
     threads: int = 1,
 ) -> RunTrace:
     """Drive make_step's kernel over the schedule; see module docstring."""
-    if r < 1:
-        raise ValueError(f"replica count must be >= 1, got {r}")
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
     if checkpoint_every is not None and checkpoint_every < 1:
@@ -163,67 +163,44 @@ def run_schedule(
     root = np.random.SeedSequence(seed)
     chain_rng = np.random.default_rng(root.spawn(1)[0])
     ens = ReplicaEnsemble.initialize(q, r, root)
+    median_p01 = _median_p01(r)
 
     threads = min(threads, r)
     cuts = np.linspace(0, r, threads + 1).astype(int)
     bounds = [(int(cuts[t]), int(cuts[t + 1])) for t in range(threads)]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
 
-    def run_chunks(fn: Callable[[int, int], None]) -> None:
-        if pool is None:
-            fn(0, r)
-        else:
-            for _ in pool.map(lambda b: fn(*b), bounds):
-                pass
+        def run_chunks(fn: Callable[[int, int], None]) -> None:
+            if pool is None:
+                fn(0, r)
+            else:
+                for _ in pool.map(lambda b: fn(*b), bounds):
+                    pass
 
-    def check_finite() -> None:
-        if not np.isfinite(ens.energies).all():
-            raise NumericError("non-finite replica energy")
-
-    try:
-        check_finite()
-        step = make_step(q, ens, chain_rng, run_chunks)
-
-        best_pos = int(np.argmin(ens.energies))
-        best_e = float(ens.energies[best_pos])
-        best_x = ens.states[best_pos].copy()
+        step = None
         checkpoints: list[Checkpoint] = []
-        u = 0
-        median_p01 = _median_p01(r)
-
-        def record() -> None:
-            med, p01 = median_p01(ens.energies)
-            checkpoints.append(Checkpoint(u, best_e, med, p01))
-
-        record()
-        n_betas = betas.size
-
-        def advance(beta: float) -> None:
-            nonlocal u, best_e, best_x
-            m = step(float(beta))
-            check_finite()
+        best_e = np.inf
+        moves = u = before = 0
+        while True:
+            if not np.isfinite(ens.energies).all():
+                raise NumericError("non-finite replica energy")
+            if step is None:
+                step = make_step(q, ens, chain_rng, run_chunks)
+            pos = int(np.argmin(ens.energies))
+            if ens.energies[pos] < best_e:
+                best_e = float(ens.energies[pos])
+                best_x = ens.states[pos].copy()
+            done = moves == betas.size if budget is None else u >= budget
+            if (
+                done
+                or not checkpoints
+                or checkpoint_every is None
+                or u // checkpoint_every > before // checkpoint_every
+            ):
+                checkpoints.append(Checkpoint(u, best_e, *median_p01(ens.energies)))
+            if done:
+                return RunTrace(checkpoints, ens.states.copy(), best_x, best_e)
+            idx = moves if budget is None else min(u * betas.size // budget, betas.size - 1)
             before = u
-            u += m
-            cur_pos = int(np.argmin(ens.energies))
-            if ens.energies[cur_pos] < best_e:
-                best_e = float(ens.energies[cur_pos])
-                best_x = ens.states[cur_pos].copy()
-            if checkpoint_every is None:
-                record()
-            elif u // checkpoint_every > before // checkpoint_every:
-                record()
-
-        if budget is None:
-            for beta in betas:
-                advance(beta)
-        else:
-            while u < budget:
-                idx = min(u * n_betas // budget, n_betas - 1)
-                advance(betas[idx])
-        if checkpoints[-1].spin_updates != u:
-            record()
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    return RunTrace(checkpoints, ens.states.copy(), best_x, best_e)
+            u += step(float(betas[idx]))
+            moves += 1

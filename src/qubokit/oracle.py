@@ -16,7 +16,7 @@ from .qubo import QuboInstance
 
 MAX_MIN_VARS = 24
 MAX_DIST_VARS = 20
-_CHUNK = 1 << 18
+_CHUNK_ENTRIES = 1 << 22
 
 
 class CapacityError(ValueError):
@@ -38,6 +38,16 @@ def state_index(x) -> int:
     return int(bits @ (1 << _bit_shifts(bits.size)))
 
 
+def _state_chunks(q: QuboInstance):
+    """All 2^n state indices in ascending runs of at most
+    _CHUNK_ENTRIES // max(n, pairs) states, which bounds the (states, n)
+    and (states, pairs) temporaries of _chunk_energies."""
+    total = 1 << q.n
+    size = max(1, _CHUNK_ENTRIES // max(q.n, q.num_couplings))
+    for start in range(0, total, size):
+        yield np.arange(start, min(start + size, total), dtype=np.int64)
+
+
 def _chunk_energies(q: QuboInstance, states: np.ndarray) -> np.ndarray:
     bits = ((states[:, None] >> _bit_shifts(q.n)[None, :]) & 1).astype(np.float64)
     e = bits @ q.h
@@ -52,8 +62,7 @@ def brute_force_min(q: QuboInstance) -> tuple[np.ndarray, float]:
         raise CapacityError(f"brute_force_min supports n <= {MAX_MIN_VARS}, got {q.n}")
     best_e = np.inf
     best_s = 0
-    for start in range(0, 1 << q.n, _CHUNK):
-        states = np.arange(start, min(start + _CHUNK, 1 << q.n), dtype=np.int64)
+    for states in _state_chunks(q):
         e = _chunk_energies(q, states)
         k = int(np.argmin(e))
         if e[k] < best_e:
@@ -89,11 +98,7 @@ def boltzmann_distribution(q: QuboInstance, beta: float) -> ExactDistribution:
         raise CapacityError(f"boltzmann_distribution supports n <= {MAX_DIST_VARS}, got {q.n}")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    total = 1 << q.n
-    energies = np.empty(total)
-    for start in range(0, total, _CHUNK):
-        states = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        energies[start : start + states.size] = _chunk_energies(q, states)
+    energies = np.concatenate([_chunk_energies(q, s) for s in _state_chunks(q)])
     # max-shift keeps exp() in range at large beta
     logw = -beta * energies
     logw -= logw.max()

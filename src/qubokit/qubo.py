@@ -68,13 +68,11 @@ class QuboInstance:
 
         # Adjacency in two layouts: python lists of (neighbor, w) for the
         # scalar code paths, and the padded arrays of padded_adjacency for
-        # vectorised ones.  Neighbor order is ascending, fixed at construction.
+        # vectorised ones.  Rows are ascending because pairs are sorted.
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
         for i, j, v in pairs:
             adj[i].append((j, v))
             adj[j].append((i, v))
-        for lst in adj:
-            lst.sort()
         self.adjacency = adj
 
         self._padded_adj: tuple[np.ndarray, np.ndarray] | None = None

@@ -1,5 +1,7 @@
 """Tests for schedules, the replica ensemble, and the run driver."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,37 @@ class TestRunScheduleBudget:
         assert np.isfinite(run(q, 1, sched, 0, budget=0).best_energy)
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             run(q, 1, sched, 0)
+
+    def test_non_finite_initial_energy_raises_before_any_step(self):
+        # 0 * inf is NaN, so every initial energy is NaN or inf
+        made, seen = [], []
+
+        def make(q, ens, rng, run_chunks):
+            made.append(True)
+            return counting_step(seen)(q, ens, rng, run_chunks)
+
+        q = QuboInstance(2, h=[np.inf, 0.0])
+        sched = AnnealSchedule(np.full(3, 1.0))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            run_schedule(q, 4, sched, 0, None, make)
+        assert made == [] and seen == []
+
+    def test_failing_step_with_threads_leaves_no_worker(self):
+        def make(q, ens, rng, run_chunks):
+            def fail(lo, hi):
+                raise RuntimeError(f"chunk {lo}:{hi} failed")
+
+            def step(beta):
+                run_chunks(fail)
+                return 1
+
+            return step
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 0:2 failed"):
+            run_schedule(small_instance(), 4, AnnealSchedule(np.array([1.0])), 0, None,
+                          make, threads=2)
+        assert threading.active_count() == before
 
 
 class TestTraceInvariants:

@@ -1,5 +1,7 @@
 """Tests for the IBP solver: single steps, runs, and the vectorized path."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,8 @@ from qubokit import (
     total_variation,
     tree_dp_min,
 )
-from qubokit.ibp import _BufferedIntegers
-from qubokit.oracle import state_index
+from qubokit.ibp import _BufferedIntegers, _make_ibp_step
+from qubokit.oracle import state_bits, state_index
 from qubokit.qubo import energy_batch
 
 
@@ -217,6 +219,50 @@ class TestIbpRun:
             if t >= 500:
                 counts[state_index(ens.states[0])] += 1
         assert total_variation(counts / counts.sum(), dist.probabilities) < 0.03
+
+
+def conditional_law(q, x, nodes, beta):
+    """Exact Boltzmann law of the bits at nodes, the rest frozen at x,
+    indexed like state_index of the node bits."""
+    m = len(nodes)
+    xs = np.tile(x, (1 << m, 1))
+    xs[:, nodes] = [state_bits(k, m) for k in range(1 << m)]
+    e = energy_batch(q, xs)
+    w = np.exp(-beta * (e - e.min()))
+    return w / w.sum()
+
+
+class TestKernelExactLaw:
+    """One vectorized move from a common state: over 2^15 replicas the
+    tree's new bits follow the exact conditional law."""
+
+    R = 1 << 15
+
+    @pytest.mark.parametrize("seed", [3, 4, 6, 10])
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_one_move_samples_the_conditional_law(self, seed, beta):
+        q = random_sparse_qubo(gen_er_graph(7, 0.5, seed), seed + 1)
+        assert q.num_couplings >= q.n  # the graph has a cycle
+        init, chain_ss, rep = np.random.SeedSequence([seed, int(beta * 10)]).spawn(3)
+        x0 = (np.random.default_rng(init).random(q.n) < 0.5).astype(np.uint8)
+        states = np.tile(x0, (self.R, 1))
+        rngs = [np.random.default_rng(s) for s in rep.spawn(self.R)]
+        ens = ReplicaEnsemble(states, energy_batch(q, states), rngs)
+        chain = np.random.default_rng(chain_ss)
+        replay = copy.deepcopy(chain)
+        m = _make_ibp_step(q, ens, chain, lambda fn: fn(0, self.R))(beta)
+        tree = select_subtree(q, _BufferedIntegers(replay))
+        nodes = np.asarray(tree.nodes)
+        assert tree.size == m
+
+        rest = np.setdiff1d(np.arange(q.n), nodes)
+        assert (ens.states[:, rest] == x0[rest]).all()
+        index = ens.states[:, nodes].astype(np.int64) @ (1 << np.arange(m - 1, -1, -1))
+        freq = np.bincount(index, minlength=1 << m) / self.R
+        assert total_variation(freq, conditional_law(q, x0, nodes, beta)) < 0.03
+        # the same samples are far from the law at 2 beta, so the bound has power
+        assert total_variation(freq, conditional_law(q, x0, nodes, 2 * beta)) > 0.1
+        assert np.allclose(ens.energies, energy_batch(q, ens.states), rtol=0.0, atol=1e-12)
 
 
 def buffered(rng, block):

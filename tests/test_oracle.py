@@ -13,7 +13,8 @@ from qubokit import (
     total_variation,
     tree_dp_min,
 )
-from qubokit.oracle import state_bits, state_index
+from qubokit import oracle
+from qubokit.oracle import _chunk_energies, state_bits, state_index
 
 
 class TestStateEncoding:
@@ -114,6 +115,40 @@ class TestBoltzmann:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             boltzmann_distribution(QuboInstance(21), 1.0)
+
+
+class TestChunking:
+    """Tiny chunks against one unchunked pass over all states."""
+
+    def all_energies(self, q):
+        return _chunk_energies(q, np.arange(1 << q.n, dtype=np.int64))
+
+    @pytest.mark.parametrize("entries", [1, 200, 5000])
+    def test_tiny_chunks_match_one_pass(self, monkeypatch, entries):
+        rng = np.random.default_rng(entries)
+        n = 10
+        couplings = {(i, j): float(rng.normal()) for i in range(n)
+                     for j in range(i + 1, n) if rng.random() < 0.5}
+        q = QuboInstance(n, h=rng.normal(size=n), couplings=couplings)
+        full = self.all_energies(q)
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", entries)
+        chunked = boltzmann_distribution(q, 1.0).energies
+        assert np.allclose(chunked, full, rtol=1e-12, atol=0.0)
+        _, e = brute_force_min(q)
+        assert e == pytest.approx(full.min(), rel=1e-12)
+
+    def test_integer_instance_argmin_is_exact(self, monkeypatch):
+        # many tied minima: the lexicographically smallest must win in
+        # every chunking
+        n = 9
+        couplings = {(i, j): 2.0 for i in range(n) for j in range(i + 1, n) if (i + j) % 3}
+        q = QuboInstance(n, h=[-1.0] * n, couplings=couplings)
+        full = self.all_energies(q)
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 7)
+        x, e = brute_force_min(q)
+        assert e == full.min()
+        assert state_index(x) == int(np.argmin(full))
+        assert np.array_equal(boltzmann_distribution(q, 0.5).energies, full)
 
 
 class TestTreeDp:

@@ -50,6 +50,24 @@ class TestConstruction:
         assert q.degree(1) == 2
         assert q.degree(0) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12))
+    def test_adjacency_rows_ascending_and_match_pairs(self, data, n):
+        # keys in both orientations, and pairs given both ways are merged
+        index = st.integers(0, n - 1)
+        keys = data.draw(st.lists(st.tuples(index, index).filter(lambda k: k[0] != k[1]),
+                                  max_size=40))
+        couplings = {key: data.draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0])) for key in keys}
+        q = QuboInstance(n, couplings=couplings)
+        expected = [[] for _ in range(n)]
+        for i, j, w in zip(q.pair_i.tolist(), q.pair_j.tolist(), q.pair_w.tolist()):
+            expected[i].append((j, w))
+            expected[j].append((i, w))
+        for row, want in zip(q.adjacency, expected):
+            nbrs = [k for k, _ in row]
+            assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+            assert row == sorted(want)
+
     def test_padded_adjacency(self):
         q = QuboInstance(3, couplings={(0, 1): 2.0, (1, 2): -1.0})
         idx, wgt = q.padded_adjacency()
