@@ -28,6 +28,8 @@ from .qubo import QuboInstance
 from .subtree import build_tree_problem, frozen_neighbor_arrays, select_subtree
 from .treebp import _sample_scalar, _upward_scalar, ensemble_sample, ensemble_upward
 
+_GATHER_ENTRIES = 1 << 14  # (column, position, replica) entries gathered at once
+
 
 def ibp_step(
     q: QuboInstance,
@@ -111,17 +113,21 @@ def _make_ibp_step(
             # Position-major (M, R) arrays throughout; see treebp.
             xt = states[lo:hi].T.copy()
             old = xt[nodes].astype(np.float64)
-            # Frozen-neighbor fields, column by column in adjacency order,
-            # over the copy xt, tree bits set to 0 (padding weights are 0).
+            # Frozen-neighbor fields over the copy xt, tree bits set to 0
+            # (padding weights are 0): one gather and multiply per block of
+            # columns, added into eff column by column in adjacency order.
             xt[nodes] = 0
             eff = np.repeat(hbase, hi - lo, axis=1)
-            for col in range(idx.shape[1]):
-                eff += wmat[:, col, None] * xt[idx[:, col]]
-            s_up = ensemble_upward(tree, eff.T, beta)
+            cols = max(1, _GATHER_ENTRIES // (m * (hi - lo)))
+            for c in range(0, idx.shape[1], cols):
+                for term in wmat.T[c : c + cols, :, None] * xt[idx.T[c : c + cols]]:
+                    eff += term
+                del term  # frees the block before the next one is made
             u = np.empty((hi - lo, m))
             for k in range(hi - lo):
                 rngs[lo + k].random(out=u[k])
-            bits = ensemble_sample(tree, s_up, beta, u)
+            # The upward fields are freed as soon as the bits are drawn.
+            bits = ensemble_sample(tree, ensemble_upward(tree, eff.T, beta), beta, u)
             new = bits.T.astype(np.float64)
             # Energy change: the field terms of positions 0..M-1, then the
             # edge terms of positions 1..M-1, summed in that order from 0

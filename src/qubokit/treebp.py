@@ -8,11 +8,11 @@ directed edge k->i with coupling w and inverse temperature beta,
     S_{k->i} = -beta*b_k + sum of z_{l->k} over tree neighbors l != i
     z_{k->i} = softplus(S_{k->i} - beta*w) - softplus(S_{k->i})
 
-where softplus(t) = log(1 + e^t) evaluated overflow-free.  The node belief
-is p1_i = sigmoid(-beta*b_i + sum of incoming z), and the parent-conditioned
-law used for sampling is P(x_i=1 | x_parent=b) = sigmoid(A - beta*w*b) with
-A the belief field excluding the parent's message.  |z| <= beta*|w| always,
-so messages stay finite at any beta.
+where softplus(t) = log(1 + e^t) = max(t, 0) + log1p(exp(-|t|)).  The node
+belief is p1_i = sigmoid(-beta*b_i + sum of incoming z), and the
+parent-conditioned law used for sampling is P(x_i=1 | x_parent=b) =
+sigmoid(A - beta*w*b) with A the belief field excluding the parent's message.
+|z| <= beta*|w| always, so messages stay finite at any beta.
 
 A probability-domain implementation with an explicit convergence loop,
 `bp_pass_reference`, serves as an independent oracle for the log-domain
@@ -55,8 +55,13 @@ class NodeBelief:
 
 
 def softplus(t):
-    """log(1 + e^t), overflow-free for scalars and arrays."""
-    return np.logaddexp(0.0, t)
+    """log(1 + e^t) = max(t, 0) + log1p(exp(-|t|)), np.logaddexp(0, t)'s own
+    split on numpy's SIMD exp and log1p: several times faster than logaddexp's
+    scalar libm loop, and within 4 ulp of it.  A float takes python's exact
+    max and abs, and gives the bits of a 1-element array."""
+    if isinstance(t, float):
+        return max(t, 0.0) + float(np.log1p(np.exp(-abs(t))))
+    return np.maximum(t, 0.0) + np.log1p(np.exp(np.copysign(t, -1.0)))  # -|t|
 
 
 def sigmoid(t):
@@ -85,7 +90,6 @@ def _upward_scalar(tree: SubTree, eff: list[float], beta: float):
     edge_w = tree.edge_w.tolist()
     if not all(map(math.isfinite, edge_w)):
         raise NumericError("non-finite in-tree coupling")
-    la = np.logaddexp
     s_up, z_up, chsum = [0.0] * m, [0.0] * m, [0.0] * m
     for p in range(m - 1, -1, -1):
         s = -beta * eff[p] + chsum[p]
@@ -94,7 +98,7 @@ def _upward_scalar(tree: SubTree, eff: list[float], beta: float):
         s_up[p] = s
         if p > 0:
             bw = beta * edge_w[p]
-            z = float(la(0.0, s - bw)) - float(la(0.0, s))
+            z = softplus(s - bw) - softplus(s)
             z_up[p] = z
             chsum[parent[p]] += z
     return s_up, z_up
@@ -111,7 +115,7 @@ def bp_pass(tp: TreeProblem) -> MessageSet:
     for p in range(1, tree.size):
         s = belief[parent[p]] - z_up[p]
         bw = beta * edge_w[p]
-        z_dn = float(softplus(s - bw)) - float(softplus(s))
+        z_dn = softplus(s - bw) - softplus(s)
         belief[p] = s_up[p] + z_dn
         child, par = nodes[p], nodes[parent[p]]
         z[(child, par)] = z_up[p]
@@ -241,43 +245,47 @@ def map_assign_tree(tp: TreeProblem, ms: MessageSet) -> dict[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Replica-ensemble kernels: the same recurrences on (R, M) arrays, one
-# vectorized step per tree level, so the Python loop runs over the tree's
-# depth rather than its size.  Each kernel gathers its inputs once into
-# SubTree._layout's order, position-major (M, R), so that a level is a
-# slice of rows, and scatters its result back once.  At the interface
-# arrays are (R, M) in position order; a transposed view costs nothing.
+# Replica-ensemble kernels: the scalar recurrences, softplus included, on
+# (R, M) arrays, one vectorized step per tree level, so the Python loop runs
+# over the tree's depth rather than its size.  Each kernel gathers its
+# inputs once into SubTree._layout's order, position-major (M, R), so a
+# level is a slice of rows, and scatters its result back once; at the
+# interface arrays are (R, M) in position order (a transposed view, free).
 # ----------------------------------------------------------------------
 
 
 def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
     """S_{p->parent} for every replica; eff is (R, M), result (R, M).
 
-    Levels are swept deepest first.  np.add.at adds a level's messages into
-    their parents' sums one at a time in the level's decreasing position
-    order, the order of _upward_scalar, so each row equals its s_up exactly.
-    Raises NumericError if any upward field S is not finite.
+    Levels are swept deepest first, the softplus of a level's S - beta*w and
+    S in one call on a (2, k, R) block.  np.bincount adds the level's
+    messages into their parents' sums from 0.0, one at a time in the level's
+    decreasing position order, as _upward_scalar does, so each row equals its
+    s_up exactly.  Raises NumericError if any upward field S is not finite.
     """
     order, index, bounds, up = tree._layout
     r = eff.shape[0]
+    # A child's entry in its parent level's sums: parent row * r + replica.
+    rel = up - np.repeat([0, *bounds[:-2]], np.diff(bounds))
+    into = (rel[:, None] * r + np.arange(r)).reshape(-1)
     # The finiteness check below reports overflow; numpy need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
-        bw = (beta * tree.edge_w[order])[:, None]
-        s_up = eff.T[order] * -beta
-        chsum = np.zeros_like(s_up)
-        flat = chsum.reshape(-1)  # entry j * r + k: layout index j, replica k
-        into = (up[:, None] * r + np.arange(r)).reshape(-1)  # the parent's entry
-        for lo, hi in zip(bounds[-2:0:-1], bounds[:1:-1]):
-            s = s_up[lo:hi]
-            s += chsum[lo:hi]
-            z = softplus(s - bw[lo:hi])
-            z -= softplus(s)
-            np.add.at(flat, into[lo * r : hi * r], z.reshape(-1))
-        s_up[0] += chsum[0]
+        s_up = eff.T[order]
+        s_up *= -beta
+        # S - bw is a level's (2, k, R) block of S - beta*w and S - 0 = S.
+        bw = np.zeros((2, tree.size, 1))
+        bw[0, :, 0] = beta * tree.edge_w[order]
+        chsum = 0.0  # the deepest level adds +0.0, as the scalar sweep does
+        for d in range(len(bounds) - 2, 0, -1):
+            plo, lo, hi = bounds[d - 1 : d + 2]
+            s_up[lo:hi] += chsum
+            z = softplus(s_up[lo:hi] - bw[:, lo:hi])
+            z = np.subtract(z[0], z[1], out=z[0]).reshape(-1)
+            chsum = np.bincount(into[lo * r : hi * r], z, (lo - plo) * r).reshape(-1, r)
+        s_up[:1] += chsum
     if not np.isfinite(s_up).all():
         raise NumericError("non-finite upward field")
-    # Into chsum's free buffer; "clip" (index is in range) skips a buffered copy.
-    return np.take(s_up, index, axis=0, out=chsum, mode="clip").T
+    return s_up[index].T
 
 
 def ensemble_sample(

@@ -24,6 +24,7 @@ from qubokit import (
     total_variation,
     tree_dp_min,
 )
+from qubokit import ibp as ibp_module
 from qubokit.ibp import _BufferedIntegers, _make_ibp_step
 from qubokit.oracle import state_bits, state_index
 from qubokit.qubo import energy_batch
@@ -192,6 +193,25 @@ class TestIbpRun:
             other = ibp_run(q, 8, sched, seed=1, threads=t)
             assert other.checkpoints == base.checkpoints
             assert np.array_equal(other.final_states, base.final_states)
+
+    @HUB
+    @pytest.mark.parametrize("r, threads", [(1, 1), (1, 2), (70, 1), (70, 2)])
+    def test_gather_block_cap_does_not_change_trace(self, monkeypatch, hub, r, threads):
+        # one column per block, the default cap, and one block for all
+        # columns add the same terms into the fields in the same order
+        q = random_sparse_qubo(gen_er_graph(30, 0.12, 6), 7)
+        if hub:
+            q = with_hub(q, 8)
+        sched = geometric_schedule(0.5, 5.0, 40)
+
+        def trace(cap):
+            monkeypatch.setattr(ibp_module, "_GATHER_ENTRIES", cap)
+            t = ibp_run(q, r, sched, seed=3, checkpoint_every=50, threads=threads)
+            return repr(t.checkpoints), t.final_states.tobytes(), t.best_state.tobytes(), t.best_energy
+
+        base = trace(ibp_module._GATHER_ENTRIES)
+        assert trace(1) == base
+        assert trace(2**30) == base
 
     def test_finds_mis_optimum_on_five_cycle(self):
         g = RandomGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])

@@ -24,7 +24,14 @@ from qubokit import (
     select_subtree,
 )
 from qubokit.oracle import state_bits
-from qubokit.treebp import _sample_scalar, _upward_scalar, ensemble_sample, ensemble_upward
+from qubokit.subtree import build_tree_problem
+from qubokit.treebp import (
+    _sample_scalar,
+    _upward_scalar,
+    ensemble_sample,
+    ensemble_upward,
+    softplus,
+)
 
 
 def random_tree_problem(rng, m, beta, field_scale=1.0, w_scale=2.0):
@@ -52,6 +59,35 @@ TWO_NODE = TreeProblem(
     np.zeros(2),
     1.0,
 )
+
+
+SOFTPLUS_GRID = np.array(
+    [0.0, 1e-300]
+    + np.geomspace(1e-12, 1.0, 25).tolist()
+    + np.linspace(1.0, 745.0, 745).tolist()
+    + np.random.default_rng(0).uniform(-40.0, 40.0, 4000).tolist()
+    + [1e3, 1e100, 1e308]
+)
+SOFTPLUS_GRID = np.concatenate([SOFTPLUS_GRID, -SOFTPLUS_GRID])
+
+
+class TestSoftplus:
+    def test_within_4_ulp_of_logaddexp(self):
+        np.testing.assert_array_max_ulp(
+            softplus(SOFTPLUS_GRID), np.logaddexp(0.0, SOFTPLUS_GRID), 4
+        )
+
+    def test_exact_at_infinities_and_nan(self):
+        t = np.array([np.inf, -np.inf, np.nan])
+        for got in (softplus(t).tolist(), [softplus(float(v)) for v in t]):
+            assert got[:2] == [np.inf, 0.0] and np.isnan(got[2])
+
+    def test_scalars_give_the_array_bits(self):
+        # the scalar twins call softplus on floats, the kernel on arrays
+        want = softplus(SOFTPLUS_GRID)
+        for t, w in zip(SOFTPLUS_GRID.tolist(), want.tolist()):
+            for got in (softplus(t), softplus(np.float64(t)), softplus(np.array([t]))[0]):
+                assert np.float64(got).tobytes() == np.float64(w).tobytes()
 
 
 class TestBpPass:
@@ -313,6 +349,26 @@ class TestEnsembleKernels:
             assert s_up[k].tobytes() == np.array(want).tobytes()
             assert bits[k].tolist() == _sample_scalar(tree, want, beta, u[k].tolist())
 
+    @pytest.mark.parametrize("beta", [1.0, 1e3])
+    def test_twins_agree_on_zero_fields_and_extreme_beta(self, beta):
+        # integer coefficients give effective fields of exactly 0, so S =
+        # -beta*0 = -0.0 before the children's +0.0 sum; at beta = 1e3 exp
+        # underflows.  Rows must match the scalar sweep, sign bits included.
+        q = integer_instance(40, 0.15, 3)
+        rng = np.random.default_rng(4)
+        zeros = 0
+        for _ in range(30):
+            tree = select_subtree(q, rng)
+            states = rng.integers(0, 2, (6, q.n)).astype(np.uint8)
+            effs = np.stack([build_tree_problem(q, tree, x, beta).eff_field for x in states])
+            zeros += int((effs == 0.0).sum())
+            s_up = ensemble_upward(tree, effs, beta)
+            for k in range(len(states)):
+                want = np.array(_upward_scalar(tree, effs[k].tolist(), beta)[0])
+                assert s_up[k].tobytes() == want.tobytes()
+                assert np.array_equal(np.signbit(s_up[k]), np.signbit(want))
+        assert zeros > 0
+
     @pytest.mark.parametrize(
         "shape, seed", [("path", 0), ("star", 1), ("random", 2), ("random", 3)]
     )
@@ -339,6 +395,15 @@ class TestEnsembleKernels:
         rng = np.random.default_rng(3)
         for _ in range(20):
             check_layout(select_subtree(q, rng))
+
+
+def integer_instance(n, p, seed):
+    """ER(n, p) instance with couplings in {+-1, +-2} and fields in
+    {0, +-1, +-2}."""
+    rng = np.random.default_rng(seed)
+    g = gen_er_graph(n, p, seed)
+    couplings = {(i, j): float(rng.choice([-2, -1, 1, 2])) for i, j in g.edges}
+    return QuboInstance(n, h=rng.integers(-2, 3, n).astype(float), couplings=couplings)
 
 
 def check_layout(tree):
