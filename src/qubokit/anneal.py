@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qubo import QuboInstance, energy_batch
+from .qubo import QuboInstance, _check_beta, energy_batch
 from .treebp import NumericError
 
 
@@ -48,10 +48,8 @@ class AnnealSchedule:
         self.betas = np.asarray(self.betas, dtype=np.float64)
         if self.betas.ndim != 1:
             raise ValueError("betas must be a 1-d sequence")
-        if self.betas.size and not (
-            np.isfinite(self.betas).all() and (self.betas > 0).all()
-        ):
-            raise ValueError("all betas must be finite and > 0")
+        for beta in self.betas.tolist():
+            _check_beta(beta)
 
     def __len__(self) -> int:
         return int(self.betas.size)
@@ -59,8 +57,8 @@ class AnnealSchedule:
 
 def geometric_schedule(beta_start: float, beta_end: float, steps: int) -> AnnealSchedule:
     """betas[t] = beta_start * (beta_end/beta_start)^(t/(steps-1))."""
-    if not (beta_start > 0 and beta_end > 0):
-        raise ValueError(f"betas must be > 0, got ({beta_start}, {beta_end})")
+    _check_beta(beta_start)
+    _check_beta(beta_end)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if steps == 1:

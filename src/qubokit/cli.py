@@ -121,8 +121,6 @@ def _run_config(args: argparse.Namespace, q: QuboInstance):
     """(schedule, budget, checkpoint_every) shared by solve and bench."""
     schedule = geometric_schedule(args.beta_start, args.beta_end, args.steps)
     budget = args.budget if args.budget is not None else args.steps * q.n
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
     if args.checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1, got {args.checkpoints}")
     ce = max(1, budget // args.checkpoints) if budget > 0 else None

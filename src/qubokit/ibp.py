@@ -24,7 +24,7 @@ from .anneal import (
     StepFn,
     run_schedule,
 )
-from .qubo import QuboInstance
+from .qubo import QuboInstance, _check_beta
 from .subtree import build_tree_problem, frozen_neighbor_arrays, select_subtree
 from .treebp import _sample_scalar, _upward_scalar, ensemble_sample, ensemble_upward
 
@@ -42,8 +42,7 @@ def ibp_step(
     Mutates ensemble states and cached energies in place; returns the tree
     size M for spin-update accounting.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    _check_beta(beta)
     tree = select_subtree(q, rng)
     parent = tree.parent_pos.tolist()
     edge_w = tree.edge_w.tolist()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import QuboInstance
+from .qubo import QuboInstance, _check_beta
 
 MAX_MIN_VARS = 24
 MAX_DIST_VARS = 20
@@ -96,12 +96,14 @@ def boltzmann_distribution(q: QuboInstance, beta: float) -> ExactDistribution:
     """Exact normalised Boltzmann law at inverse temperature beta >= 0."""
     if q.n > MAX_DIST_VARS:
         raise CapacityError(f"boltzmann_distribution supports n <= {MAX_DIST_VARS}, got {q.n}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    _check_beta(beta, zero_ok=True)
     energies = np.concatenate([_chunk_energies(q, s) for s in _state_chunks(q)])
-    # max-shift keeps exp() in range at large beta
-    logw = -beta * energies
-    logw -= logw.max()
+    # log-weights -beta*(E - min E) <= 0, the least energy's 0, so exp()
+    # stays in range; a product that overflows is -inf, weight 0.  A gap past
+    # the float range is clamped to it, so beta = 0 gives 0, not inf*0 = NaN.
+    with np.errstate(over="ignore"):
+        gap = energies - energies.min()
+        logw = np.minimum(gap, np.finfo(np.float64).max) * -beta
     weights = np.exp(logw)
     return ExactDistribution(q.n, beta, energies, weights / weights.sum())
 

@@ -16,6 +16,13 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _check_beta(beta: float, *, zero_ok: bool = False) -> None:
+    """The one rule for an inverse temperature: finite and > 0 (>= 0 with
+    zero_ok, for the exact oracle).  ValueError otherwise, NaN included."""
+    if not (math.isfinite(beta) and (beta >= 0.0 if zero_ok else beta > 0.0)):
+        raise ValueError(f"beta must be finite and {'>=' if zero_ok else '>'} 0, got {beta}")
+
+
 class QuboInstance:
     """Sparse quadratic unconstrained binary optimisation problem.
 

@@ -29,7 +29,7 @@ from .anneal import (
     StepFn,
     run_schedule,
 )
-from .qubo import QuboInstance, delta_energy
+from .qubo import QuboInstance, _check_beta, delta_energy
 
 
 def sa_sweep(
@@ -41,8 +41,7 @@ def sa_sweep(
     Mutates x in place; returns (x, accepted count).  Counts as n spin
     updates (attempts) regardless of acceptance.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    _check_beta(beta)
     perm = rng.permutation(q.n)
     u = rng.random(q.n)
     accepted = 0
@@ -135,27 +134,30 @@ def _make_sa_step(
         flat = base + site
         xb = states[lo:hi].reshape(-1)  # a view: states is C-contiguous
         eb = energies[lo:hi]
-        for k in range(bounds.shape[0] - 1):
-            sl = slice(off[k], off[k + 1])
-            s = site[sl]
-            fi = flat[sl]
-            nbr = idx[s]
-            nbr += base[sl, None]
-            fld = wgt[s]
-            fld *= xb[nbr]
-            fld = np.add.reduce(fld, axis=1)
-            fld += h[s]
-            # d = (1 - 2 x_i) * field, that is +-field.
-            xs = xb[fi]
-            d = np.negative(fld, out=fld, where=xs.view(bool))
-            p = np.maximum(d, 0.0)
-            p *= -beta
-            np.exp(p, out=p)
-            acc = u[sl] < p
-            xb[fi] = xs ^ acc
-            # Unbuffered and in element order: each replica's changes are
-            # added in its visiting order, as the sequential sweep adds them.
-            np.add.at(eb, rep[sl], np.where(acc, d, 0.0))
+        # p *= -beta overflows to -inf on a steep uphill flip; exp(-inf) = 0
+        # is the right rejection, so numpy need not warn.
+        with np.errstate(over="ignore"):
+            for k in range(bounds.shape[0] - 1):
+                sl = slice(off[k], off[k + 1])
+                s = site[sl]
+                fi = flat[sl]
+                nbr = idx[s]
+                nbr += base[sl, None]
+                fld = wgt[s]
+                fld *= xb[nbr]
+                fld = np.add.reduce(fld, axis=1)
+                fld += h[s]
+                # d = (1 - 2 x_i) * field, that is +-field.
+                xs = xb[fi]
+                d = np.negative(fld, out=fld, where=xs.view(bool))
+                p = np.maximum(d, 0.0)
+                p *= -beta
+                np.exp(p, out=p)
+                acc = u[sl] < p
+                xb[fi] = xs ^ acc
+                # Unbuffered and in element order: each replica's changes are
+                # added in its visiting order, as the sequential sweep adds them.
+                np.add.at(eb, rep[sl], np.where(acc, d, 0.0))
 
     def step(beta: float) -> int:
         def work(lo: int, hi: int) -> None:

@@ -16,7 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .qubo import QuboInstance
+from .qubo import QuboInstance, _check_beta
 
 
 @dataclass
@@ -79,12 +79,6 @@ class SubTree:
         return order, index, [0, *np.cumsum(np.bincount(rev)).tolist()], up
 
     @property
-    def levels(self) -> list[np.ndarray]:
-        """Positions grouped by depth, as laid out by _layout."""
-        order, _, bounds, _ = self._layout
-        return np.split(order, bounds[1:-1])
-
-    @property
     def tree_edges(self) -> list[tuple[int, int, float]]:
         """(parent node, child node, coupling) for each non-root position."""
         return [
@@ -119,8 +113,7 @@ class TreeProblem:
                 f"eff_field must have length {self.tree.size}, "
                 f"got shape {self.eff_field.shape}"
             )
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        _check_beta(self.beta)
 
 
 class _Integers(Protocol):

@@ -29,6 +29,9 @@ import numpy as np
 from .subtree import SubTree, TreeProblem
 
 
+_FLOAT_MAX = np.finfo(np.float64).max
+
+
 class NumericError(ArithmeticError):
     """Non-finite value in BP inputs or messages."""
 
@@ -65,9 +68,13 @@ def softplus(t):
 
 
 def sigmoid(t):
-    """1 / (1 + e^-t), overflow-free for scalars and arrays."""
-    t = np.asarray(t, dtype=np.float64)
-    e = np.exp(-np.abs(t))
+    """1 / (1 + e^-t) as (1 if t >= 0 else e) / (1 + e), e = exp(-|t|): no
+    overflow.  As in softplus, a float takes python's abs and comparison and
+    gives the bits of a 1-element array; other input must be a float array."""
+    if isinstance(t, float):
+        e = float(np.exp(-abs(t)))
+        return (1.0 if t >= 0.0 else e) / (1.0 + e)
+    e = np.exp(np.copysign(t, -1.0))  # -|t|
     return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
 
 
@@ -181,12 +188,7 @@ def marginal(tp: TreeProblem, ms: MessageSet, i: int) -> NodeBelief:
         field += ms.z[(tree.nodes[c], i)]
     if p > 0:
         field += ms.z[(tree.nodes[int(tree.parent_pos[p])], i)]
-    return NodeBelief(float(sigmoid(field)))
-
-
-def _sigmoid_scalar(t: float) -> float:
-    e = float(np.exp(-abs(t)))
-    return 1.0 / (1.0 + e) if t >= 0.0 else e / (1.0 + e)
+    return NodeBelief(sigmoid(field))
 
 
 def _excl_parent_fields(tp: TreeProblem, ms: MessageSet) -> list[float]:
@@ -209,10 +211,11 @@ def _sample_scalar(tree: SubTree, a: list[float], beta: float, u: list[float]) -
     uniforms u, the scalar twin of ensemble_sample."""
     parent, edge_w = tree.parent_pos.tolist(), tree.edge_w.tolist()
     bits = [0] * tree.size
-    bits[0] = int(u[0] < _sigmoid_scalar(a[0]))
+    bits[0] = int(u[0] < sigmoid(a[0]))
     for p in range(1, tree.size):
-        t = a[p] - beta * edge_w[p] * bits[parent[p]]
-        bits[p] = int(u[p] < _sigmoid_scalar(t))
+        # a 0-parent leaves the field alone: beta*w may be inf, and inf*0 NaN
+        t = a[p] - beta * edge_w[p] if bits[parent[p]] else a[p]
+        bits[p] = int(u[p] < sigmoid(t))
     return bits
 
 
@@ -239,7 +242,7 @@ def map_assign_tree(tp: TreeProblem, ms: MessageSet) -> dict[int, int]:
     bits = [0] * tree.size
     bits[0] = int(a[0] > 0.0)
     for p in range(1, tree.size):
-        t = a[p] - tp.beta * edge_w[p] * bits[parent[p]]
+        t = a[p] - tp.beta * edge_w[p] if bits[parent[p]] else a[p]
         bits[p] = int(t > 0.0)
     return dict(zip(tree.nodes, bits))
 
@@ -292,9 +295,16 @@ def ensemble_sample(
     tree: SubTree, s_up: np.ndarray, beta: float, u: np.ndarray
 ) -> np.ndarray:
     """Sample all replicas' tree bits from uniforms u of shape (R, M),
-    root first, one level at a time, each child given its parent's bit."""
+    root first, one level at a time, each child given its parent's bit.
+
+    beta*w is clamped to the float range, so a 0-parent subtracts 0, never
+    inf*0 = NaN.  The clamp leaves a finite beta*w as it is, and changes a
+    draw only where a child's field is exactly the largest float."""
     order, index, bounds, up = tree._layout
-    bw = (beta * tree.edge_w[order])[:, None]
+    with np.errstate(over="ignore"):
+        bw = beta * tree.edge_w[order]
+    # np.clip's python wrapper costs more than the two ufuncs
+    bw = np.maximum(np.minimum(bw, _FLOAT_MAX), -_FLOAT_MAX)[:, None]
     a, u = s_up.T[order], u.T[order]
     bits = np.empty(u.shape, dtype=np.uint8)
     bits[0] = u[0] < sigmoid(a[0])

@@ -78,6 +78,12 @@ class TestSchedules:
         with pytest.raises(ValueError):
             AnnealSchedule(np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("ends", [(1.0, np.inf), (np.inf, 1.0), (np.nan, 1.0)])
+    def test_non_finite_ends_rejected(self, ends):
+        # before np.geomspace, which warned on an infinite end
+        with pytest.raises(ValueError, match="finite"):
+            geometric_schedule(*ends, 5)
+
     def test_empty_allowed(self):
         assert len(AnnealSchedule(np.array([]))) == 0
 

@@ -338,6 +338,44 @@ class TestErrors:
         assert [str(w.message) for w in caught] == []
         assert out == ""
 
+    def test_negative_budget_exits_1(self, instance_path, capsys):
+        code, out, err = run_cli(capsys, "solve", instance_path, "--budget", "-1")
+        assert code == 1
+        assert err == "qubokit: budget must be >= 0, got -1\n"
+        assert out == ""
+
+    def test_infinite_beta_exits_1_without_warning(self, instance_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "solve", instance_path, "--beta-end", "inf")
+        assert code == 1
+        assert err == "qubokit: beta must be finite and > 0, got inf\n"
+        assert [str(w.message) for w in caught] == []
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "algo, text",
+        [
+            # the SA kernel's -beta*d overflows to -inf on the 1e307 uphill
+            ("sa", "qubo 3 3\n0 0 -1.0\n0 1 1e307\n1 2 -1e307\n"),
+            # beta*w overflows to inf in the IBP draw
+            ("ibp", "qubo 2 3\n0 0 -1.0\n0 1 1e307\n1 1 -1.0\n"),
+        ],
+    )
+    def test_overflowing_coupling_solves_without_warning(self, tmp_path, capsys, algo, text):
+        path = tmp_path / "huge.qubo"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "solve", str(path), "--algo", algo,
+                "--beta-start", "20", "--beta-end", "20", "--steps", "3", "-R", "2",
+            )
+        assert code == 0
+        assert err == ""
+        assert [str(w.message) for w in caught] == []
+        assert json.loads(out)["best_energy"] <= -1.0
+
     def test_bad_replica_count_exits_1(self, instance_path, capsys):
         code, _, _ = run_cli(capsys, "solve", instance_path, "-R", "0")
         assert code == 1

@@ -63,6 +63,13 @@ class TestIbpStep:
         with pytest.raises(ValueError):
             ibp_step(q, ens, 0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_non_finite_beta_rejected(self, beta):
+        q = QuboInstance(2, h=[0.0, 0.0], couplings={(0, 1): 1.0})
+        ens = ReplicaEnsemble.initialize(q, 2, 0)
+        with pytest.raises(ValueError, match="finite"):
+            ibp_step(q, ens, beta, np.random.default_rng(0))
+
     def test_uncoupled_node_snaps_to_ground(self):
         # no couplings: every tree is a single node, and at beta=50 with
         # h=-1 the resampled bit is 1 in every replica
@@ -150,6 +157,20 @@ class TestNumericFailure:
                         threads=threads)
         assert trace.best_energy == -3e307
         assert trace.best_state.tolist() == [1, 1, 1]
+
+
+class TestOverflowingCoupling:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_draws_from_the_exact_law(self, threads):
+        # at beta 20, beta*w overflows to inf: the exact law puts 1.0e-9 on
+        # 00 and nothing on 11.  A 0-parent must not form inf*0 = NaN, which
+        # drew its child as 0 in about half the replicas.
+        q = QuboInstance(2, h=[-1.0, -1.0], couplings={(0, 1): 1e307})
+        trace = ibp_run(q, 2000, AnnealSchedule(np.full(5, 20.0)), 0, threads=threads)
+        states = [tuple(x) for x in trace.final_states.tolist()]
+        assert set(states) == {(0, 1), (1, 0)}
+        assert 900 < states.count((0, 1)) < 1100
+        assert trace.best_energy == -1.0
 
 
 class TestIbpRun:

@@ -103,6 +103,28 @@ class TestBoltzmann:
         assert np.isfinite(dist.probabilities).all()
         assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan, -1.0])
+    def test_invalid_beta_rejected(self, beta):
+        # inf and NaN gave all-NaN probabilities
+        q = QuboInstance(2, h=[1.0, -1.0], couplings={(0, 1): 1.0})
+        with pytest.raises(ValueError, match="finite"):
+            boltzmann_distribution(q, beta)
+        with pytest.raises(ValueError, match="finite"):
+            exact_marginals(q, beta)
+
+    def test_overflowing_log_weight(self):
+        # -beta*E = 2e308 overflows before a max-shift could apply; shifted
+        # by the least energy first, the two states with x_0 = 1 share it all
+        q = QuboInstance(2, h=[-1e307, 0.0])
+        dist = boltzmann_distribution(q, 20.0)
+        np.testing.assert_allclose(dist.probabilities, [0.0, 0.0, 0.5, 0.5])
+        np.testing.assert_allclose(exact_marginals(q, 20.0), [1.0, 0.5])
+
+    def test_beta_zero_with_an_overflowing_gap_is_uniform(self):
+        # energies 1e308 apart: the gap overflows, and must not give 0*inf
+        q = QuboInstance(2, h=[1e308, -1e308])
+        np.testing.assert_allclose(boltzmann_distribution(q, 0.0).probabilities, 0.25)
+
     def test_high_beta_concentrates(self):
         # Needs a minimizer separated by a clear gap; seed 3 has one.
         rng = np.random.default_rng(3)

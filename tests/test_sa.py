@@ -30,6 +30,13 @@ class TestSaSweep:
         with pytest.raises(ValueError):
             sa_sweep(q, np.zeros(2, dtype=np.uint8), -1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_non_finite_beta_rejected(self, beta):
+        # at beta inf, -inf*0 = NaN rejected every flip, downhill ones too
+        q = QuboInstance(2, h=[-1.0, -1.0], couplings={(0, 1): 1.0})
+        with pytest.raises(ValueError, match="finite"):
+            sa_sweep(q, np.zeros(2, dtype=np.uint8), beta, np.random.default_rng(0))
+
     def test_local_optimum_frozen_at_high_beta(self):
         # all-ones is a strict local optimum here (every flip raises the
         # energy), so at beta=1e9 no sweep accepts anything

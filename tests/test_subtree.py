@@ -171,6 +171,12 @@ class TestTreeProblem:
         with pytest.raises(ValueError):
             TreeProblem(t, np.zeros(2), -1.0)
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_non_finite_beta_rejected(self, beta):
+        t = SubTree([0, 1], np.array([-1, 0]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            TreeProblem(t, np.zeros(2), beta)
+
     def test_whole_graph_tree_keeps_bare_fields(self):
         q = QuboInstance(3, h=[0.5, -1.0, 2.0], couplings={(0, 1): 1.0, (1, 2): 1.0})
         tree = select_subtree(q, np.random.default_rng(0))

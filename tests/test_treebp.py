@@ -30,6 +30,7 @@ from qubokit.treebp import (
     _upward_scalar,
     ensemble_sample,
     ensemble_upward,
+    sigmoid,
     softplus,
 )
 
@@ -88,6 +89,20 @@ class TestSoftplus:
         for t, w in zip(SOFTPLUS_GRID.tolist(), want.tolist()):
             for got in (softplus(t), softplus(np.float64(t)), softplus(np.array([t]))[0]):
                 assert np.float64(got).tobytes() == np.float64(w).tobytes()
+
+
+class TestSigmoid:
+    def test_scalars_give_the_array_bits(self):
+        # the scalar twins and marginal call sigmoid on floats, the kernel
+        # on arrays
+        t = np.array([0.0, 1e-320, np.inf, np.nan, 1e-12, 0.5, 36.0, 745.0, 1e308])
+        t = np.concatenate([t, -t])
+        want = sigmoid(t)
+        for v, w in zip(t.tolist(), want.tolist()):
+            for got in (sigmoid(v), sigmoid(np.float64(v)), sigmoid(np.array([v]))[0]):
+                assert np.float64(got).tobytes() == np.float64(w).tobytes()
+        assert want[:3].tolist() == [0.5, 0.5, 1.0] and want[9:12].tolist() == [0.5, 0.5, 0.0]
+        assert np.isnan(want[3]) and np.isnan(want[12])
 
 
 class TestBpPass:
@@ -226,12 +241,12 @@ class TestSampling:
                 b = s[tree.nodes[int(tree.parent_pos[p])]]
                 cases[p, b] += 1
                 ones[p, b] += s[tree.nodes[p]]
-        from qubokit.treebp import _excl_parent_fields, _sigmoid_scalar
+        from qubokit.treebp import _excl_parent_fields
 
         a = _excl_parent_fields(tp, ms)
         for p in range(1, tree.size):
             for b in (0, 1):
-                want = _sigmoid_scalar(a[p] - tp.beta * tp.tree.edge_w[p] * b)
+                want = sigmoid(a[p] - tp.beta * tp.tree.edge_w[p] * b)
                 n_pb = cases[p, b]
                 assert n_pb > 100
                 sigma = np.sqrt(want * (1 - want) / n_pb)
@@ -264,6 +279,31 @@ class TestSampling:
         sample_tree(tp, ms, rng1)
         rng2.random(6)
         assert rng1.random() == rng2.random()
+
+
+# At beta 20, beta*w overflows to +inf: the exact law puts 1.0e-9 on 00,
+# the rest on 01 and 10, and 11 is out of reach.
+HUGE_W = TreeProblem(
+    SubTree([0, 1], np.array([-1, 0]), np.array([0.0, 1e307])), np.array([-1.0, -1.0]), 20.0
+)
+
+
+class TestOverflowingCoupling:
+    def test_marginals_are_even(self):
+        ms = bp_pass(HUGE_W)
+        for i in (0, 1):
+            assert marginal(HUGE_W, ms, i).p1 == pytest.approx(0.5)
+
+    def test_sample_tree_never_draws_00_or_11(self):
+        ms = bp_pass(HUGE_W)
+        rng = np.random.default_rng(0)
+        draws = [tuple(sample_tree(HUGE_W, ms, rng).values()) for _ in range(2000)]
+        assert set(draws) == {(0, 1), (1, 0)}
+        assert 900 < draws.count((0, 1)) < 1100
+
+    def test_map_assign_is_a_ground_state(self):
+        x = map_assign_tree(HUGE_W, bp_pass(HUGE_W))
+        assert sorted(x.values()) == [0, 1]
 
 
 class TestMapAssign:
@@ -327,10 +367,13 @@ class TestEnsembleKernels:
         beta=st.floats(0.01, 50.0),
         scale=st.sampled_from([1e-3, 1.0, 1e2]),
         seed=st.integers(0, 2**32 - 1),
+        huge_w=st.booleans(),
     )
-    def test_twins_agree_bit_for_bit(self, shape, m, r, beta, scale, seed):
+    def test_twins_agree_bit_for_bit(self, shape, m, r, beta, scale, seed, huge_w):
         # each kernel against its scalar twin on random trees; |S| stays
-        # below beta * scale * (1 + 40), far from overflow
+        # below beta * scale * (1 + 40), far from overflow.  With huge_w the
+        # couplings are 1e308, so beta*w overflows to inf for beta > 1.8;
+        # each message is then -softplus(S), and no field overflows.
         rng = np.random.default_rng(seed)
         if shape == "path":
             parent_pos = [-1] + list(range(m - 1))
@@ -339,6 +382,8 @@ class TestEnsembleKernels:
         else:
             parent_pos = [-1] + [int(rng.integers(p)) for p in range(1, m)]
         edge_w = np.concatenate([[0.0], rng.uniform(-scale, scale, m - 1)])
+        if huge_w:
+            edge_w[1:] = 1e308
         tree = SubTree(list(range(m)), np.array(parent_pos), edge_w)
         effs = rng.uniform(-scale, scale, (r, m))
         u = rng.random((r, m))
@@ -368,20 +413,6 @@ class TestEnsembleKernels:
                 assert s_up[k].tobytes() == want.tobytes()
                 assert np.array_equal(np.signbit(s_up[k]), np.signbit(want))
         assert zeros > 0
-
-    @pytest.mark.parametrize(
-        "shape, seed", [("path", 0), ("star", 1), ("random", 2), ("random", 3)]
-    )
-    def test_levels_partition_positions_by_depth(self, shape, seed):
-        tree = shaped_tree_problem(shape, seed).tree
-        levels = [lev.tolist() for lev in tree.levels]
-        assert sorted(p for lev in levels for p in lev) == list(range(tree.size))
-        assert levels[0] == [0]
-        depth = {p: d for d, lev in enumerate(levels) for p in lev}
-        for p in range(1, tree.size):
-            assert depth[int(tree.parent_pos[p])] == depth[p] - 1
-        for lev in levels:
-            assert lev == sorted(lev, reverse=True)
 
     @pytest.mark.parametrize(
         "shape, seed", [("path", 0), ("star", 1), ("random", 2), ("random", 3)]
