@@ -28,7 +28,9 @@ from .qubo import QuboInstance, _check_beta
 from .subtree import build_tree_problem, frozen_neighbor_arrays, select_subtree
 from .treebp import _sample_scalar, _upward_scalar, ensemble_sample, ensemble_upward
 
-_GATHER_ENTRIES = 1 << 14  # (column, position, replica) entries gathered at once
+# (column, position, replica) products per frozen-field gather block; past
+# one block, _frozen_fields reads the rows in decreasing degree order.
+_GATHER_ENTRIES = 1 << 14
 
 
 def ibp_step(
@@ -89,6 +91,37 @@ class _BufferedIntegers:
                 return m >> 32
 
 
+def _frozen_fields(
+    hbase: np.ndarray, idx: np.ndarray, wmat: np.ndarray, xt: np.ndarray
+) -> np.ndarray:
+    """(M, R) fields h + sum of w * x over the rows (idx, wmat) of
+    frozen_neighbor_arrays and the position-major states xt, tree bits set
+    to 0.  Each row adds its terms column by column in adjacency order, the
+    products made in blocks of at most _GATHER_ENTRIES.  Past one block the
+    rows go by decreasing degree (nonzero weights), stably, so block
+    [c, c + cols) reads only the rows of degree > c; the fields are put
+    back in tree order once, at the end."""
+    (m, width), r = idx.shape, xt.shape[1]
+    cols = max(1, _GATHER_ENTRIES // (m * r))
+    if cols < width:
+        deg = np.count_nonzero(wmat, axis=1)
+        perm = np.argsort(-deg, kind="stable")
+        rows = (m - np.cumsum(np.bincount(deg, minlength=width))).tolist()
+        hbase, idx, wmat = hbase[perm], idx[perm], wmat[perm]
+    else:
+        perm, rows = None, [m]
+    eff = np.repeat(hbase, r, axis=1)
+    for c in range(0, width, cols):
+        k = rows[c]
+        head = eff[:k]
+        for term in wmat.T[c : c + cols, :k, None] * xt[idx.T[c : c + cols, :k]]:
+            head += term
+        del term  # frees the block before the next one is made
+    if perm is not None:
+        eff[perm] = eff.copy()
+    return eff
+
+
 def _make_ibp_step(
     q: QuboInstance,
     ens: ReplicaEnsemble,
@@ -112,16 +145,8 @@ def _make_ibp_step(
             # Position-major (M, R) arrays throughout; see treebp.
             xt = states[lo:hi].T.copy()
             old = xt[nodes].astype(np.float64)
-            # Frozen-neighbor fields over the copy xt, tree bits set to 0
-            # (padding weights are 0): one gather and multiply per block of
-            # columns, added into eff column by column in adjacency order.
             xt[nodes] = 0
-            eff = np.repeat(hbase, hi - lo, axis=1)
-            cols = max(1, _GATHER_ENTRIES // (m * (hi - lo)))
-            for c in range(0, idx.shape[1], cols):
-                for term in wmat.T[c : c + cols, :, None] * xt[idx.T[c : c + cols]]:
-                    eff += term
-                del term  # frees the block before the next one is made
+            eff = _frozen_fields(hbase, idx, wmat, xt)
             u = np.empty((hi - lo, m))
             for k in range(hi - lo):
                 rngs[lo + k].random(out=u[k])

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qubo import QuboInstance, _check_beta
+from .treebp import NumericError
 
 MAX_MIN_VARS = 24
 MAX_DIST_VARS = 20
@@ -49,10 +50,14 @@ def _state_chunks(q: QuboInstance):
 
 
 def _chunk_energies(q: QuboInstance, states: np.ndarray) -> np.ndarray:
+    """Energies of the given states; NumericError if any is not finite."""
     bits = ((states[:, None] >> _bit_shifts(q.n)[None, :]) & 1).astype(np.float64)
-    e = bits @ q.h
-    if q.pair_w.size:
-        e += (bits[:, q.pair_i] * bits[:, q.pair_j]) @ q.pair_w
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = bits @ q.h
+        if q.pair_w.size:
+            e += (bits[:, q.pair_i] * bits[:, q.pair_j]) @ q.pair_w
+    if not np.isfinite(e).all():
+        raise NumericError("energy overflows the float range")
     return e
 
 

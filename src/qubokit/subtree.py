@@ -204,6 +204,8 @@ def frozen_neighbor_arrays(
     """(M, W) index and weight arrays: the tree nodes' rows of
     q.padded_adjacency(), cut to the widest row W that select_subtree
     recorded (uncut for a tree built by hand).  Over states with the tree's
-    bits set to 0 they sum to build_tree_problem's fields."""
+    bits set to 0 they sum to build_tree_problem's fields.  A row's real
+    entries come first and its padding weights are 0, so the IBP kernel
+    can skip a row past its degree (its count of nonzero weights)."""
     pidx, pwgt = q.padded_adjacency()
     return pidx[tree.nodes, : tree._width], pwgt[tree.nodes, : tree._width]

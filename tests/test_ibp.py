@@ -28,6 +28,8 @@ from qubokit import ibp as ibp_module
 from qubokit.ibp import _BufferedIntegers, _make_ibp_step
 from qubokit.oracle import state_bits, state_index
 from qubokit.qubo import energy_batch
+from qubokit.subtree import build_tree_problem
+from qubokit.treebp import ensemble_upward
 
 
 def integer_tree_instance(n, seed):
@@ -304,6 +306,48 @@ class TestKernelExactLaw:
         # the same samples are far from the law at 2 beta, so the bound has power
         assert total_variation(freq, conditional_law(q, x0, nodes, 2 * beta)) > 0.1
         assert np.allclose(ens.energies, energy_batch(q, ens.states), rtol=0.0, atol=1e-12)
+
+
+def with_isolated(q, extra):
+    """q plus `extra` uncoupled variables, each a width-0 tree when drawn."""
+    h = np.concatenate([q.h, np.linspace(-1.0, 1.0, extra)])
+    return QuboInstance(q.n + extra, h=h, couplings={(i, j): w for i, j, w in q.couplings()})
+
+
+class TestKernelFields:
+    """The vectorized move's frozen-neighbor fields, captured where they
+    enter ensemble_upward, equal build_tree_problem's in every replica."""
+
+    @pytest.mark.parametrize("cap", [1, 2**30], ids=["multi-block", "one-block"])
+    @pytest.mark.parametrize("case", ["hub", "isolated"])
+    def test_fields_equal_build_tree_problem(self, monkeypatch, cap, case):
+        q = random_sparse_qubo(gen_er_graph(30, 0.12, 6), 7)
+        q = with_hub(q, 8) if case == "hub" else with_isolated(q, 10)
+        monkeypatch.setattr(ibp_module, "_GATHER_ENTRIES", cap)
+        seen = []
+
+        def upward(tree, fields, beta):
+            seen.append((tree, fields.copy()))
+            return ensemble_upward(tree, fields, beta)
+
+        monkeypatch.setattr(ibp_module, "ensemble_upward", upward)
+        r, beta = 6, 1.5
+        ens = ReplicaEnsemble.initialize(q, r, np.random.SeedSequence(2))
+        step = _make_ibp_step(q, ens, np.random.default_rng(5), lambda fn: fn(0, r))
+        widths = set()
+        for _ in range(150):
+            before = ens.states.copy()
+            step(beta)
+            (tree, fields), = seen
+            seen.clear()
+            widths.add(tree._width)
+            for k in range(r):
+                want = build_tree_problem(q, tree, before[k], beta).eff_field
+                assert np.array_equal(fields[k], want)
+        # several columns per tree, so cap 1 takes the degree-ordered path
+        assert max(widths) >= 2
+        if case == "isolated":
+            assert 0 in widths
 
 
 def buffered(rng, block):

@@ -1,10 +1,13 @@
 """Tests for the exact-enumeration and tree-DP oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from qubokit import (
     CapacityError,
+    NumericError,
     QuboInstance,
     boltzmann_distribution,
     brute_force_min,
@@ -137,6 +140,22 @@ class TestBoltzmann:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             boltzmann_distribution(QuboInstance(21), 1.0)
+
+
+class TestOverflowingEnergy:
+    @pytest.mark.parametrize(
+        "call",
+        [brute_force_min, lambda q: boltzmann_distribution(q, 1.0), lambda q: exact_marginals(q, 0.0)],
+        ids=["brute_force_min", "boltzmann_distribution", "exact_marginals"],
+    )
+    def test_raises_numeric_error_without_warnings(self, call):
+        # E(1, 1) = -3e308 is past the float range: every oracle raises,
+        # none returns -inf or NaN, and numpy prints no warning first
+        q = QuboInstance(2, h=[-1e308, -1e308], couplings={(0, 1): -1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="energy"):
+                call(q)
 
 
 class TestChunking:
