@@ -92,19 +92,19 @@ class _BufferedIntegers:
 
 
 def _frozen_fields(
-    hbase: np.ndarray, idx: np.ndarray, wmat: np.ndarray, xt: np.ndarray
+    hbase: np.ndarray, deg: np.ndarray, idx: np.ndarray, wmat: np.ndarray,
+    xt: np.ndarray,
 ) -> np.ndarray:
     """(M, R) fields h + sum of w * x over the rows (idx, wmat) of
-    frozen_neighbor_arrays and the position-major states xt, tree bits set
-    to 0.  Each row adds its terms column by column in adjacency order, the
-    products made in blocks of at most _GATHER_ENTRIES.  Past one block the
-    rows go by decreasing degree (nonzero weights), stably, so block
-    [c, c + cols) reads only the rows of degree > c; the fields are put
-    back in tree order once, at the end."""
+    frozen_neighbor_arrays, whose degrees are deg, and the position-major
+    states xt, tree bits set to 0.  Each row adds its terms column by column
+    in adjacency order, the products made in blocks of at most
+    _GATHER_ENTRIES.  Past one block the rows go by decreasing degree,
+    stably, so block [c, c + cols) reads only the rows of degree > c; the
+    fields are put back in tree order once, at the end."""
     (m, width), r = idx.shape, xt.shape[1]
     cols = max(1, _GATHER_ENTRIES // (m * r))
     if cols < width:
-        deg = np.count_nonzero(wmat, axis=1)
         perm = np.argsort(-deg, kind="stable")
         rows = (m - np.cumsum(np.bincount(deg, minlength=width))).tolist()
         hbase, idx, wmat = hbase[perm], idx[perm], wmat[perm]
@@ -136,7 +136,7 @@ def _make_ibp_step(
         tree = select_subtree(q, draws)
         idx, wmat = frozen_neighbor_arrays(q, tree)
         nodes = np.asarray(tree.nodes)
-        hbase = q.h[nodes, None]
+        hbase, deg = q.h[nodes, None], q._degrees[nodes]
         m = tree.size
         par = tree.parent_pos[1:]
         w_edge = tree.edge_w[1:, None]
@@ -146,7 +146,7 @@ def _make_ibp_step(
             xt = states[lo:hi].T.copy()
             old = xt[nodes].astype(np.float64)
             xt[nodes] = 0
-            eff = _frozen_fields(hbase, idx, wmat, xt)
+            eff = _frozen_fields(hbase, deg, idx, wmat, xt)
             u = np.empty((hi - lo, m))
             for k in range(hi - lo):
                 rngs[lo + k].random(out=u[k])

@@ -85,9 +85,6 @@ class ExactDistribution:
     energies: np.ndarray        # (2^n,) indexed by state
     probabilities: np.ndarray   # (2^n,) sums to 1
 
-    def assignment(self, s: int) -> np.ndarray:
-        return state_bits(s, self.n)
-
     def marginals(self) -> np.ndarray:
         """P(x_i = 1) for each variable."""
         states = np.arange(1 << self.n, dtype=np.int64)
@@ -127,7 +124,7 @@ def tree_dp_min(q: QuboInstance) -> float:
     """
     n = q.n
     heff = q.h.astype(np.float64).copy()
-    deg = [len(lst) for lst in q.adjacency]
+    deg = q._degrees.tolist()
     removed = [False] * n
     stack = [i for i in range(n) if deg[i] == 1]
     total = 0.0

@@ -76,11 +76,13 @@ class QuboInstance:
         # Adjacency in two layouts: python lists of (neighbor, w) for the
         # scalar code paths, and the padded arrays of padded_adjacency for
         # vectorised ones.  Rows are ascending because pairs are sorted.
+        # _degrees holds each row's length, the one record of it.
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
         for i, j, v in pairs:
             adj[i].append((j, v))
             adj[j].append((i, v))
         self.adjacency = adj
+        self._degrees = np.fromiter(map(len, adj), np.int64, self.n)
 
         self._padded_adj: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -117,7 +119,7 @@ class QuboInstance:
             yield int(i), int(j), float(v)
 
     def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+        return int(self._degrees[i])
 
     def padded_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (n, max_degree) neighbor-index and weight arrays.
@@ -126,7 +128,7 @@ class QuboInstance:
         contribute nothing to field sums.  Built once and cached.
         """
         if self._padded_adj is None:
-            dmax = max((len(a) for a in self.adjacency), default=0)
+            dmax = int(self._degrees.max())
             idx = np.zeros((self.n, dmax), dtype=np.int64)
             wgt = np.zeros((self.n, dmax), dtype=np.float64)
             for i, lst in enumerate(self.adjacency):

@@ -26,13 +26,11 @@ class SubTree:
     parent_pos[p] is the position (index into nodes) of node p's parent,
     -1 for the root.  edge_w[p] is the coupling to the parent, 0.0 at the
     root.  Selection order is topological: parents precede children.
-    select_subtree records the nodes' widest adjacency row in _width.
     """
 
     nodes: list[int]
     parent_pos: np.ndarray
     edge_w: np.ndarray
-    _width: int | None = field(default=None, init=False, repr=False, compare=False)
     _depth: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -141,14 +139,10 @@ def select_subtree(q: QuboInstance, rng: _Integers) -> SubTree:
     nodes = [u]
     parent_pos = [-1]
     edge_w = [0.0]
-    width = 0
     while True:
         pos_u = len(nodes) - 1
         conn[u] = 3  # so members never count as 1 or 2 couplings again
-        row = adjacency[u]
-        if len(row) > width:
-            width = len(row)
-        for v, w in row:
+        for v, w in adjacency[u]:
             c = conn[v] = conn[v] + 1
             if c == 1:
                 entry_parent[v] = pos_u
@@ -172,9 +166,7 @@ def select_subtree(q: QuboInstance, rng: _Integers) -> SubTree:
         nodes.append(u)
         parent_pos.append(entry_parent[u])
         edge_w.append(entry_w[u])
-    tree = SubTree(nodes, np.array(parent_pos), np.array(edge_w))
-    tree._width = width
-    return tree
+    return SubTree(nodes, np.array(parent_pos), np.array(edge_w))
 
 
 def build_tree_problem(
@@ -202,10 +194,12 @@ def frozen_neighbor_arrays(
     q: QuboInstance, tree: SubTree
 ) -> tuple[np.ndarray, np.ndarray]:
     """(M, W) index and weight arrays: the tree nodes' rows of
-    q.padded_adjacency(), cut to the widest row W that select_subtree
-    recorded (uncut for a tree built by hand).  Over states with the tree's
-    bits set to 0 they sum to build_tree_problem's fields.  A row's real
-    entries come first and its padding weights are 0, so the IBP kernel
-    can skip a row past its degree (its count of nonzero weights)."""
+    q.padded_adjacency(), cut to W, the largest degree among the nodes.
+    Over states with the tree's bits set to 0 they sum to
+    build_tree_problem's fields.  A row's real entries come first and its
+    padding weights are 0, so the IBP kernel can skip a row past its
+    degree."""
     pidx, pwgt = q.padded_adjacency()
-    return pidx[tree.nodes, : tree._width], pwgt[tree.nodes, : tree._width]
+    nodes = np.asarray(tree.nodes)
+    width = q._degrees[nodes].max()
+    return pidx[nodes, :width], pwgt[nodes, :width]

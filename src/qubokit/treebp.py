@@ -29,9 +29,6 @@ import numpy as np
 from .subtree import SubTree, TreeProblem
 
 
-_FLOAT_MAX = np.finfo(np.float64).max
-
-
 class NumericError(ArithmeticError):
     """Non-finite value in BP inputs or messages."""
 
@@ -295,20 +292,17 @@ def ensemble_sample(
     tree: SubTree, s_up: np.ndarray, beta: float, u: np.ndarray
 ) -> np.ndarray:
     """Sample all replicas' tree bits from uniforms u of shape (R, M),
-    root first, one level at a time, each child given its parent's bit.
-
-    beta*w is clamped to the float range, so a 0-parent subtracts 0, never
-    inf*0 = NaN.  The clamp leaves a finite beta*w as it is, and changes a
-    draw only where a child's field is exactly the largest float."""
+    root first, one level at a time, each child given its parent's bit by
+    _sample_scalar's rule: a 1-parent subtracts beta*w from the child's
+    field, a 0-parent leaves it alone.  As on python floats, beta*w and the
+    difference may overflow to +-inf; with finite fields neither is NaN."""
     order, index, bounds, up = tree._layout
-    with np.errstate(over="ignore"):
-        bw = beta * tree.edge_w[order]
-    # np.clip's python wrapper costs more than the two ufuncs
-    bw = np.maximum(np.minimum(bw, _FLOAT_MAX), -_FLOAT_MAX)[:, None]
     a, u = s_up.T[order], u.T[order]
     bits = np.empty(u.shape, dtype=np.uint8)
     bits[0] = u[0] < sigmoid(a[0])
-    for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        t = a[lo:hi] - bw[lo:hi] * bits[up[lo:hi]]
-        bits[lo:hi] = u[lo:hi] < sigmoid(t)
+    with np.errstate(over="ignore"):
+        bw = (beta * tree.edge_w[order])[:, None]
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            t = np.where(bits[up[lo:hi]], a[lo:hi] - bw[lo:hi], a[lo:hi])
+            bits[lo:hi] = u[lo:hi] < sigmoid(t)
     return bits[index].T

@@ -28,7 +28,7 @@ from qubokit import ibp as ibp_module
 from qubokit.ibp import _BufferedIntegers, _make_ibp_step
 from qubokit.oracle import state_bits, state_index
 from qubokit.qubo import energy_batch
-from qubokit.subtree import build_tree_problem
+from qubokit.subtree import build_tree_problem, frozen_neighbor_arrays
 from qubokit.treebp import ensemble_upward
 
 
@@ -340,7 +340,7 @@ class TestKernelFields:
             step(beta)
             (tree, fields), = seen
             seen.clear()
-            widths.add(tree._width)
+            widths.add(frozen_neighbor_arrays(q, tree)[0].shape[1])
             for k in range(r):
                 want = build_tree_problem(q, tree, before[k], beta).eff_field
                 assert np.array_equal(fields[k], want)
@@ -399,6 +399,8 @@ class TestBufferedIntegers:
 
 
 class TestSelectionRecords:
+    """The frozen-field gather's rows for a selected tree."""
+
     @HUB
     def test_width_is_the_widest_row(self, hub):
         q = random_sparse_qubo(gen_er_graph(60, 0.1, 3), 4)
@@ -407,4 +409,6 @@ class TestSelectionRecords:
         rng = np.random.default_rng(6)
         for _ in range(30):
             tree = select_subtree(q, rng)
-            assert tree._width == max(q.degree(i) for i in tree.nodes)
+            idx, wmat = frozen_neighbor_arrays(q, tree)
+            width = max(len(q.adjacency[i]) for i in tree.nodes)
+            assert idx.shape == wmat.shape == (tree.size, width)

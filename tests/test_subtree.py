@@ -212,8 +212,8 @@ class TestTreeProblem:
             assert np.array_equal(eff, tp.eff_field)
 
     def test_frozen_neighbor_arrays_of_a_hand_built_tree(self):
-        # no recorded width: the full padded rows, whose zero-weight padding
-        # leaves the fields unchanged
+        # rows cut to the tree's widest row, here the graph's maximum degree:
+        # node 1's row is full, node 0's zero-weight padding adds nothing
         q = QuboInstance(
             4, h=[0.5, -1.0, 2.0, 0.0], couplings={(0, 1): 1.0, (1, 2): 3.0, (2, 3): 1.0}
         )
@@ -225,6 +225,35 @@ class TestTreeProblem:
         xz[t.nodes] = 0
         eff = q.h[t.nodes] + (wmat * xz[idx]).sum(axis=1)
         assert np.array_equal(eff, build_tree_problem(q, t, x, 1.0).eff_field)
+
+    @pytest.mark.parametrize(
+        "nodes, parent_pos, edge_w, width",
+        [
+            ([3], [-1], [0.0], 1),
+            ([1, 5], [-1, 0], [0.0, -1.5], 2),
+            ([5, 1, 0], [-1, 0, 1], [0.0, -1.5, 1.0], 4),
+        ],
+        ids=["leaf", "leaf-and-tail", "through-centre"],
+    )
+    def test_frozen_neighbor_arrays_cut_hand_built_rows(self, nodes, parent_pos, edge_w, width):
+        # star with centre 0 and leaves 1..4, and a tail 1-5: maximum degree
+        # 4, but a tree of leaves is only as wide as its widest row
+        q = QuboInstance(
+            6,
+            h=[0.5, -1.0, 2.0, 0.25, -0.5, 1.0],
+            couplings={(0, 1): 1.0, (0, 2): -2.0, (0, 3): 0.5, (0, 4): 3.0, (1, 5): -1.5},
+        )
+        assert q.padded_adjacency()[0].shape == (6, 4)
+        t = SubTree(nodes, np.array(parent_pos), np.array(edge_w))
+        idx, wmat = frozen_neighbor_arrays(q, t)
+        assert idx.shape == wmat.shape == (len(nodes), width)
+        for x in np.random.default_rng(1).integers(0, 2, (8, q.n)).astype(np.uint8):
+            xz = x.copy()
+            xz[t.nodes] = 0
+            eff = q.h[t.nodes]
+            for col in range(width):
+                eff += wmat[:, col] * xz[idx[:, col]]
+            assert np.array_equal(eff, build_tree_problem(q, t, x, 1.0).eff_field)
 
     def test_hand_worked_effective_field(self):
         # path 0-1-2, node 2 frozen at 1, w_12 = -2, h_1 = 0.5: b_1 = -1.5

@@ -55,6 +55,8 @@ def conditioned_instance(tp: TreeProblem) -> QuboInstance:
     return QuboInstance(tp.tree.size, h=tp.eff_field, couplings=couplings)
 
 
+FLOAT_MAX = np.finfo(np.float64).max
+
 TWO_NODE = TreeProblem(
     SubTree([0, 1], np.array([-1, 0]), np.array([0.0, -2.0])),
     np.zeros(2),
@@ -393,6 +395,21 @@ class TestEnsembleKernels:
             want, _ = _upward_scalar(tree, effs[k].tolist(), beta)
             assert s_up[k].tobytes() == np.array(want).tobytes()
             assert bits[k].tolist() == _sample_scalar(tree, want, beta, u[k].tolist())
+
+    @pytest.mark.parametrize(
+        "beta, field", [(20.0, FLOAT_MAX), (1.0, -FLOAT_MAX)], ids=["inf-w", "inf-difference"]
+    )
+    def test_twins_agree_where_beta_w_overflows(self, beta, field):
+        # a 1-parent subtracts beta*w from the child's extreme field; with
+        # beta*w = inf, or a finite difference past the float range, that
+        # is -inf on python floats, so the child draws 0 (not a fair coin
+        # from FLOAT_MAX - FLOAT_MAX = 0), and numpy must not warn
+        tree = SubTree([0, 1], np.array([-1, 0]), np.array([0.0, 1e308]))
+        s_up = np.array([[50.0, field]])
+        u = np.array([[0.5, 0.25]])
+        want = _sample_scalar(tree, s_up[0].tolist(), beta, u[0].tolist())
+        assert want == [1, 0]
+        assert ensemble_sample(tree, s_up, beta, u).tolist() == [want]
 
     @pytest.mark.parametrize("beta", [1.0, 1e3])
     def test_twins_agree_on_zero_fields_and_extreme_beta(self, beta):
