@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import treebp
 from .anneal import (
     AnnealSchedule,
     ChunkRunner,
@@ -27,10 +28,6 @@ from .anneal import (
 from .qubo import QuboInstance, _check_beta
 from .subtree import build_tree_problem, frozen_neighbor_arrays, select_subtree
 from .treebp import _sample_scalar, _upward_scalar, ensemble_sample, ensemble_upward
-
-# (column, position, replica) products per frozen-field gather block; past
-# one block, _frozen_fields reads the rows in decreasing degree order.
-_GATHER_ENTRIES = 1 << 14
 
 
 def ibp_step(
@@ -91,6 +88,12 @@ class _BufferedIntegers:
                 return m >> 32
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """a[0] + a[1] + ... in order: np.add.reduce, or accumulate (in a) where a
+    row is one element, since numpy then sums the contiguous axis pairwise."""
+    return np.add.reduce(a, 0) if a.size > len(a) else np.add.accumulate(a, 0, out=a)[-1]
+
+
 def _frozen_fields(
     hbase: np.ndarray, deg: np.ndarray, idx: np.ndarray, wmat: np.ndarray,
     xt: np.ndarray,
@@ -99,26 +102,28 @@ def _frozen_fields(
     frozen_neighbor_arrays, whose degrees are deg, and the position-major
     states xt, tree bits set to 0.  Each row adds its terms column by column
     in adjacency order, the products made in blocks of at most
-    _GATHER_ENTRIES.  Past one block the rows go by decreasing degree,
-    stably, so block [c, c + cols) reads only the rows of degree > c; the
-    fields are put back in tree order once, at the end."""
+    treebp._BLOCK_ENTRIES; one block is stacked under h and summed at once.
+    Past one block the rows go by decreasing degree, stably, so block
+    [c, c + cols) reads only the rows of degree > c; the fields are put back
+    in tree order once, at the end."""
     (m, width), r = idx.shape, xt.shape[1]
-    cols = max(1, _GATHER_ENTRIES // (m * r))
-    if cols < width:
-        perm = np.argsort(-deg, kind="stable")
-        rows = (m - np.cumsum(np.bincount(deg, minlength=width))).tolist()
-        hbase, idx, wmat = hbase[perm], idx[perm], wmat[perm]
-    else:
-        perm, rows = None, [m]
-    eff = np.repeat(hbase, r, axis=1)
+    cols = max(1, treebp._BLOCK_ENTRIES // (m * r))
+    if cols >= width:
+        terms = np.empty((width + 1, m, r))
+        terms[0] = hbase
+        np.multiply(wmat.T[:, :, None], xt[idx.T], out=terms[1:])
+        return _sum_rows(terms)
+    perm = np.argsort(-deg, kind="stable")
+    rows = (m - np.cumsum(np.bincount(deg, minlength=width))).tolist()
+    eff = np.repeat(hbase[perm], r, axis=1)
+    idx, wmat = idx[perm], wmat[perm]
     for c in range(0, width, cols):
         k = rows[c]
         head = eff[:k]
         for term in wmat.T[c : c + cols, :k, None] * xt[idx.T[c : c + cols, :k]]:
             head += term
         del term  # frees the block before the next one is made
-    if perm is not None:
-        eff[perm] = eff.copy()
+    eff[perm] = eff.copy()
     return eff
 
 
@@ -144,27 +149,26 @@ def _make_ibp_step(
         def work(lo: int, hi: int) -> None:
             # Position-major (M, R) arrays throughout; see treebp.
             xt = states[lo:hi].T.copy()
-            old = xt[nodes].astype(np.float64)
+            ob = xt[nodes]
             xt[nodes] = 0
             eff = _frozen_fields(hbase, deg, idx, wmat, xt)
             u = np.empty((hi - lo, m))
             for k in range(hi - lo):
                 rngs[lo + k].random(out=u[k])
             # The upward fields are freed as soon as the bits are drawn.
-            bits = ensemble_sample(tree, ensemble_upward(tree, eff.T, beta), beta, u)
-            new = bits.T.astype(np.float64)
-            # Energy change: the field terms of positions 0..M-1, then the
-            # edge terms of positions 1..M-1, summed in that order from 0
-            # by an in-place running sum, exactly as ibp_step adds them.
-            d = np.empty((2 * m, hi - lo))
-            d[0] = 0.0
-            np.subtract(new, old, out=d[1 : m + 1])
+            nb = ensemble_sample(tree, ensemble_upward(tree, eff.T, beta), beta, u).T
+            # Energy change: 0, the field terms of positions 0..M-1, then the
+            # edge terms of positions 1..M-1, summed in that order as ibp_step
+            # adds them; each is a coefficient times a bit difference 0 or +-1.
+            diff = np.zeros((2 * m, hi - lo), dtype=np.uint8)  # -1 wraps to 255
+            np.subtract(nb, ob, out=diff[1 : m + 1])
+            np.bitwise_and(nb[1:], nb[par], out=diff[m + 1 :])
+            diff[m + 1 :] -= ob[1:] & ob[par]
+            d = diff.view(np.int8).astype(np.float64)
             d[1 : m + 1] *= eff
-            d[m + 1 :] = new[1:] * new[par] - old[1:] * old[par]
             d[m + 1 :] *= w_edge
-            np.add.accumulate(d, axis=0, out=d)
-            states[lo:hi, nodes] = bits
-            energies[lo:hi] += d[-1]
+            states[lo:hi, nodes] = nb.T
+            energies[lo:hi] += _sum_rows(d)
 
         run_chunks(work)
         return m

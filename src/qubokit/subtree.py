@@ -25,7 +25,8 @@ class SubTree:
 
     parent_pos[p] is the position (index into nodes) of node p's parent,
     -1 for the root.  edge_w[p] is the coupling to the parent, 0.0 at the
-    root.  Selection order is topological: parents precede children.
+    root.  Selection order is topological: parents precede children.  Only
+    hand-built trees are checked: select_subtree builds them valid (_selected).
     """
 
     nodes: list[int]
@@ -51,6 +52,13 @@ class SubTree:
             if not 0 <= parent[p] < p:
                 raise ValueError(f"parent of position {p} must precede it")
             depth[p] = depth[parent[p]] + 1
+
+    @classmethod
+    def _selected(cls, nodes, parent_pos, edge_w, depth: list[int]) -> SubTree:
+        tree = cls.__new__(cls)
+        tree.nodes, tree.parent_pos, tree.edge_w, tree._depth = (
+            nodes, np.array(parent_pos, dtype=np.int64), np.array(edge_w), depth)
+        return tree
 
     @property
     def size(self) -> int:
@@ -120,7 +128,8 @@ class _Integers(Protocol):
 
 def select_subtree(q: QuboInstance, rng: _Integers) -> SubTree:
     """Grow a random induced sub-tree; frontier = outside nodes with exactly
-    one coupling into the current set.  rng is used only as rng.integers(k)."""
+    one coupling into the current set.  rng is used only as rng.integers(k).
+    The tree is built once: no second pass checks it or finds its depths."""
     n = q.n
     adjacency = q.adjacency
     integers = rng.integers
@@ -136,9 +145,7 @@ def select_subtree(q: QuboInstance, rng: _Integers) -> SubTree:
     # second.  That order fixes the frontier's layout, and with it which
     # node each draw picks.
     u = int(integers(n))
-    nodes = [u]
-    parent_pos = [-1]
-    edge_w = [0.0]
+    nodes, parent_pos, edge_w, depth = [u], [-1], [0.0], [0]
     while True:
         pos_u = len(nodes) - 1
         conn[u] = 3  # so members never count as 1 or 2 couplings again
@@ -164,9 +171,10 @@ def select_subtree(q: QuboInstance, rng: _Integers) -> SubTree:
             frontier[p] = last
             fpos[last] = p
         nodes.append(u)
-        parent_pos.append(entry_parent[u])
+        parent_pos.append(pp := entry_parent[u])
         edge_w.append(entry_w[u])
-    return SubTree(nodes, np.array(parent_pos), np.array(edge_w))
+        depth.append(depth[pp] + 1)
+    return SubTree._selected(nodes, parent_pos, edge_w, depth)
 
 
 def build_tree_problem(

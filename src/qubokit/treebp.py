@@ -75,6 +75,15 @@ def sigmoid(t):
     return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
 
 
+def logit(u):
+    """log(u) - log(1 - u) on numpy's log, -inf at 0: sigmoid's inverse.  As
+    in softplus, a float gives the bits of a 1-element array."""
+    if isinstance(u, float):
+        return float(np.log(u)) - float(np.log(1.0 - u)) if u else -math.inf
+    with np.errstate(divide="ignore"):
+        return np.log(u) - np.log(1.0 - u)
+
+
 # ----------------------------------------------------------------------
 # Scalar log-domain engine: the upward sweep, bp_pass, the root-first draw.
 # ----------------------------------------------------------------------
@@ -205,14 +214,15 @@ def _excl_parent_fields(tp: TreeProblem, ms: MessageSet) -> list[float]:
 
 def _sample_scalar(tree: SubTree, a: list[float], beta: float, u: list[float]) -> list[int]:
     """Root-first draw of the bits by position from upward fields a and
-    uniforms u, the scalar twin of ensemble_sample."""
+    uniforms u, the scalar twin of ensemble_sample: bit p is logit(u[p]) < t,
+    in exact arithmetic the event u[p] < sigmoid(t)."""
     parent, edge_w = tree.parent_pos.tolist(), tree.edge_w.tolist()
     bits = [0] * tree.size
-    bits[0] = int(u[0] < sigmoid(a[0]))
+    bits[0] = int(logit(u[0]) < a[0])
     for p in range(1, tree.size):
         # a 0-parent leaves the field alone: beta*w may be inf, and inf*0 NaN
         t = a[p] - beta * edge_w[p] if bits[parent[p]] else a[p]
-        bits[p] = int(u[p] < sigmoid(t))
+        bits[p] = int(logit(u[p]) < t)
     return bits
 
 
@@ -253,6 +263,8 @@ def map_assign_tree(tp: TreeProblem, ms: MessageSet) -> dict[int, int]:
 # interface arrays are (R, M) in position order (a transposed view, free).
 # ----------------------------------------------------------------------
 
+_BLOCK_ENTRIES = 1 << 14  # per block: (row, replica) draws, ibp's gather products
+
 
 def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
     """S_{p->parent} for every replica; eff is (R, M), result (R, M).
@@ -291,18 +303,24 @@ def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
 def ensemble_sample(
     tree: SubTree, s_up: np.ndarray, beta: float, u: np.ndarray
 ) -> np.ndarray:
-    """Sample all replicas' tree bits from uniforms u of shape (R, M),
-    root first, one level at a time, each child given its parent's bit by
-    _sample_scalar's rule: a 1-parent subtracts beta*w from the child's
-    field, a 0-parent leaves it alone.  As on python floats, beta*w and the
-    difference may overflow to +-inf; with finite fields neither is NaN."""
+    """Sample all replicas' tree bits from uniforms u of shape (R, M) by
+    _sample_scalar's rule.  Per block of at most _BLOCK_ENTRIES (row, replica)
+    entries: c0 = logit(u) < a, the bit under a 0-parent or at the root, and
+    c1 = logit(u) < a - beta*w under a 1-parent (+-inf where beta*w overflows).
+    Then per level, root first, three bool operations: c0 ^ (parent & (c0 ^ c1))."""
     order, index, bounds, up = tree._layout
-    a, u = s_up.T[order], u.T[order]
-    bits = np.empty(u.shape, dtype=np.uint8)
-    bits[0] = u[0] < sigmoid(a[0])
+    r, m = u.shape
+    c0, flip = np.empty((2, m, r), dtype=np.bool_)  # flip = c0 ^ c1
     with np.errstate(over="ignore"):
         bw = (beta * tree.edge_w[order])[:, None]
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            t = np.where(bits[up[lo:hi]], a[lo:hi] - bw[lo:hi], a[lo:hi])
-            bits[lo:hi] = u[lo:hi] < sigmoid(t)
-    return bits[index].T
+        for lo in range(0, m, rows := max(1, _BLOCK_ENTRIES // r)):
+            blk = slice(lo, lo + rows)
+            lu, a = logit(u.T[order[blk]]), s_up.T[order[blk]]
+            np.less(lu, a, out=c0[blk])
+            np.less(lu, np.subtract(a, bw[blk], out=a), out=flip[blk])
+            flip[blk] ^= c0[blk]
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        t = c0[up[lo:hi]]
+        t &= flip[lo:hi]
+        c0[lo:hi] ^= t
+    return c0[index].view(np.uint8).T

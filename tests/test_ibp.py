@@ -25,7 +25,8 @@ from qubokit import (
     tree_dp_min,
 )
 from qubokit import ibp as ibp_module
-from qubokit.ibp import _BufferedIntegers, _make_ibp_step
+from qubokit import treebp as treebp_module
+from qubokit.ibp import _BufferedIntegers, _frozen_fields, _make_ibp_step
 from qubokit.oracle import state_bits, state_index
 from qubokit.qubo import energy_batch
 from qubokit.subtree import build_tree_problem, frozen_neighbor_arrays
@@ -177,25 +178,38 @@ class TestOverflowingCoupling:
 
 class TestIbpRun:
     @HUB
-    def test_matches_scalar_reference_exactly(self, hub):
+    @pytest.mark.parametrize("r", [1, 2, 8])
+    def test_matches_scalar_reference_exactly(self, r, hub):
         # the vectorized kernel must reproduce the scalar step bit for bit:
-        # same seeds, 400 steps, identical final states and best energy
+        # same seeds, 400 steps, identical final states, best energy and
+        # cached energies; at R = 1 an energy delta summed by np.add.reduce
+        # along the positions would be pairwise, not in ibp_step's order
         q = random_sparse_qubo(gen_er_graph(24, 0.18, 0), 1)
         if hub:
             q = with_hub(q, 2)
         steps, beta, seed = 400, 1.3, 7
 
-        root = np.random.SeedSequence(seed)
-        chain = np.random.default_rng(root.spawn(1)[0])
-        ens = ReplicaEnsemble.initialize(q, 8, root)
+        def ensemble():
+            root = np.random.SeedSequence(seed)
+            chain = np.random.default_rng(root.spawn(1)[0])
+            return chain, ReplicaEnsemble.initialize(q, r, root)
+
+        chain, ens = ensemble()
         best = float(ens.energies.min())
         for _ in range(steps):
             ibp_step(q, ens, beta, chain)
             best = min(best, float(ens.energies.min()))
 
-        trace = ibp_run(q, 8, AnnealSchedule(np.full(steps, beta)), seed)
+        trace = ibp_run(q, r, AnnealSchedule(np.full(steps, beta)), seed)
         assert np.array_equal(trace.final_states, ens.states)
         assert trace.best_energy == best
+
+        chain, kernel = ensemble()
+        step = _make_ibp_step(q, kernel, chain, lambda fn: fn(0, r))
+        for _ in range(steps):
+            step(beta)
+        assert np.array_equal(kernel.states, ens.states)
+        assert kernel.energies.tobytes() == ens.energies.tobytes()
 
     def test_spin_updates_are_summed_tree_sizes(self):
         q = random_sparse_qubo(gen_er_graph(40, 0.1, 4), 5)
@@ -221,18 +235,19 @@ class TestIbpRun:
     @pytest.mark.parametrize("r, threads", [(1, 1), (1, 2), (70, 1), (70, 2)])
     def test_gather_block_cap_does_not_change_trace(self, monkeypatch, hub, r, threads):
         # one column per block, the default cap, and one block for all
-        # columns add the same terms into the fields in the same order
+        # columns add the same terms into the fields in the same order; the
+        # draws' row blocks follow the same cap
         q = random_sparse_qubo(gen_er_graph(30, 0.12, 6), 7)
         if hub:
             q = with_hub(q, 8)
         sched = geometric_schedule(0.5, 5.0, 40)
 
         def trace(cap):
-            monkeypatch.setattr(ibp_module, "_GATHER_ENTRIES", cap)
+            monkeypatch.setattr(treebp_module, "_BLOCK_ENTRIES", cap)
             t = ibp_run(q, r, sched, seed=3, checkpoint_every=50, threads=threads)
             return repr(t.checkpoints), t.final_states.tobytes(), t.best_state.tobytes(), t.best_energy
 
-        base = trace(ibp_module._GATHER_ENTRIES)
+        base = trace(treebp_module._BLOCK_ENTRIES)
         assert trace(1) == base
         assert trace(2**30) == base
 
@@ -323,7 +338,7 @@ class TestKernelFields:
     def test_fields_equal_build_tree_problem(self, monkeypatch, cap, case):
         q = random_sparse_qubo(gen_er_graph(30, 0.12, 6), 7)
         q = with_hub(q, 8) if case == "hub" else with_isolated(q, 10)
-        monkeypatch.setattr(ibp_module, "_GATHER_ENTRIES", cap)
+        monkeypatch.setattr(treebp_module, "_BLOCK_ENTRIES", cap)
         seen = []
 
         def upward(tree, fields, beta):
@@ -348,6 +363,32 @@ class TestKernelFields:
         assert max(widths) >= 2
         if case == "isolated":
             assert 0 in widths
+
+
+class TestFrozenFieldSums:
+    """_frozen_fields adds each field's terms to h in adjacency order, in
+    one block or several, at every (M, R) shape: a one-block reduction over
+    a single-element row would sum pairwise instead."""
+
+    @pytest.mark.parametrize("cap", [1, 2**30], ids=["multi-block", "one-block"])
+    @pytest.mark.parametrize("m, r", [(1, 1), (1, 3), (5, 1), (4, 4)])
+    def test_sequential_from_h(self, monkeypatch, cap, m, r):
+        monkeypatch.setattr(treebp_module, "_BLOCK_ENTRIES", cap)
+        rng = np.random.default_rng(m * 10 + r)
+        n, width = 40, 20
+        for _ in range(20):
+            deg = rng.integers(0, width + 1, m)
+            deg[0] = width
+            idx = rng.integers(0, n, (m, width))
+            wmat = rng.normal(0.0, 1.0, (m, width)) * 10.0 ** rng.integers(-8, 8, (m, width))
+            wmat[np.arange(width) >= deg[:, None]] = 0.0
+            xt = rng.integers(0, 2, (n, r), dtype=np.uint8)
+            hbase = rng.normal(0.0, 1.0, (m, 1))
+            want = np.repeat(hbase, r, axis=1)
+            for c in range(width):
+                want += wmat[:, c, None] * xt[idx[:, c]]
+            got = _frozen_fields(hbase, deg, idx, wmat, xt)
+            assert got.tobytes() == want.tobytes()
 
 
 def buffered(rng, block):

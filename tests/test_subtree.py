@@ -14,6 +14,7 @@ from qubokit import (
     build_tree_problem,
     energy,
     gen_er_graph,
+    mis_to_qubo,
     random_sparse_qubo,
     select_subtree,
 )
@@ -159,6 +160,40 @@ class TestSelectionInvariants:
         for v in range(q.n):
             if v not in inside:
                 assert sum(k in inside for k, _ in q.adjacency[v]) != 1, v
+
+
+def hub_instance(seed: int) -> QuboInstance:
+    """Random ER(60, 0.08) instance plus variable 0 coupled to every other."""
+    q = random_sparse_qubo(gen_er_graph(60, 0.08, seed), seed + 1)
+    w = {(i, j): v for i, j, v in q.couplings()}
+    for j in range(1, q.n):
+        w.setdefault((0, j), 0.5)
+    return QuboInstance(q.n, h=q.h, couplings=w)
+
+
+class TestSelectedTreeRecords:
+    """select_subtree skips SubTree's checks and records the depths as the
+    nodes join; the tree equals one rebuilt through the checked path."""
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            random_sparse_qubo(gen_er_graph(60, 0.08, 1), 2),
+            hub_instance(3),
+            mis_to_qubo(gen_er_graph(80, 0.05, 4)),
+        ],
+        ids=["plain", "hub", "mis"],
+    )
+    def test_depths_layout_and_children_equal_a_rebuilt_tree(self, q):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            tree = select_subtree(q, rng)
+            rebuilt = SubTree(tree.nodes, tree.parent_pos, tree.edge_w)
+            assert tree.parent_pos.dtype == np.int64 and tree.edge_w.dtype == np.float64
+            assert tree._depth == rebuilt._depth
+            for got, want in zip(tree._layout, rebuilt._layout):
+                assert np.array_equal(got, want)
+            assert tree.children == rebuilt.children
 
 
 class TestTreeProblem:

@@ -30,9 +30,11 @@ from qubokit.treebp import (
     _upward_scalar,
     ensemble_sample,
     ensemble_upward,
+    logit,
     sigmoid,
     softplus,
 )
+from qubokit import treebp as treebp_module
 
 
 def random_tree_problem(rng, m, beta, field_scale=1.0, w_scale=2.0):
@@ -105,6 +107,18 @@ class TestSigmoid:
                 assert np.float64(got).tobytes() == np.float64(w).tobytes()
         assert want[:3].tolist() == [0.5, 0.5, 1.0] and want[9:12].tolist() == [0.5, 0.5, 0.0]
         assert np.isnan(want[3]) and np.isnan(want[12])
+
+
+class TestLogit:
+    def test_scalars_give_the_array_bits(self):
+        # _sample_scalar calls logit on floats, the kernel on arrays
+        u = np.array([0.0, 2.0**-53, 0.25, 0.5, 1.0 - 2.0**-53])
+        want = logit(u)
+        for v, w in zip(u.tolist(), want.tolist()):
+            for got in (logit(v), logit(np.float64(v)), logit(np.array([v]))[0]):
+                assert np.float64(got).tobytes() == np.float64(w).tobytes()
+        assert want[0] == -np.inf and want[3] == 0.0
+        assert want[1] == -want[4] and np.isfinite(want[1:]).all()
 
 
 class TestBpPass:
@@ -410,6 +424,36 @@ class TestEnsembleKernels:
         want = _sample_scalar(tree, s_up[0].tolist(), beta, u[0].tolist())
         assert want == [1, 0]
         assert ensemble_sample(tree, s_up, beta, u).tolist() == [want]
+
+    def test_twins_agree_at_zero_uniform(self):
+        # logit(0) = -inf lies below any finite field, so u = 0 draws 1 even
+        # where sigmoid(-800) underflows to 0 (u < sigmoid(t) drew 0 there)
+        tree = SubTree([0, 1], np.array([-1, 0]), np.array([0.0, 0.0]))
+        s_up, u = np.array([[-800.0, -800.0]]), np.zeros((1, 2))
+        want = _sample_scalar(tree, s_up[0].tolist(), 1.0, u[0].tolist())
+        assert want == [1, 1]
+        assert ensemble_sample(tree, s_up, 1.0, u).tolist() == [want]
+
+    @pytest.mark.parametrize("cap", [1, 7, 2**30])
+    def test_draw_blocks_do_not_change_bits(self, monkeypatch, cap):
+        # blocks of one row, of max(1, 7 // R) rows, and one block for the
+        # whole tree draw the default blocks' bits
+        q = random_sparse_qubo(gen_er_graph(120, 0.04, 5), 6)
+        rng = np.random.default_rng(7)
+        cases = []
+        for r in (1, 3, 8):
+            for _ in range(10):
+                tree = select_subtree(q, rng)
+                effs = rng.uniform(-1.0, 1.0, (r, tree.size))
+                s_up = ensemble_upward(tree, effs, 2.0)
+                u = rng.random((r, tree.size))
+                cases.append((tree, s_up, u, ensemble_sample(tree, s_up, 2.0, u)))
+        assert min(t.size for t, *_ in cases) > 7  # several blocks below cap 2**30
+        monkeypatch.setattr(treebp_module, "_BLOCK_ENTRIES", cap)
+        for tree, s_up, u, want in cases:
+            assert ensemble_sample(tree, s_up, 2.0, u).tobytes() == want.tobytes()
+            for k in range(len(u)):
+                assert want[k].tolist() == _sample_scalar(tree, s_up[k].tolist(), 2.0, u[k].tolist())
 
     @pytest.mark.parametrize("beta", [1.0, 1e3])
     def test_twins_agree_on_zero_fields_and_extreme_beta(self, beta):
