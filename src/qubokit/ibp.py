@@ -147,7 +147,7 @@ def _make_ibp_step(
         w_edge = tree.edge_w[1:, None]
 
         def work(lo: int, hi: int) -> None:
-            # Position-major (M, R) arrays throughout; see treebp.
+            # Position-major (M, R) arrays; u alone is (R, M). See treebp.
             xt = states[lo:hi].T.copy()
             ob = xt[nodes]
             xt[nodes] = 0
@@ -156,7 +156,7 @@ def _make_ibp_step(
             for k in range(hi - lo):
                 rngs[lo + k].random(out=u[k])
             # The upward fields are freed as soon as the bits are drawn.
-            nb = ensemble_sample(tree, ensemble_upward(tree, eff.T, beta), beta, u).T
+            nb = ensemble_sample(tree, ensemble_upward(tree, eff, beta), beta, u)
             # Energy change: 0, the field terms of positions 0..M-1, then the
             # edge terms of positions 1..M-1, summed in that order as ibp_step
             # adds them; each is a coefficient times a bit difference 0 or +-1.

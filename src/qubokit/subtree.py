@@ -73,16 +73,18 @@ class SubTree:
         return children
 
     @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
-        """(order, index, bounds, up): positions by depth, root level first,
-        each level in decreasing position order (the upward sweep's order of
-        adding children into a parent's sum) at order[bounds[d]:bounds[d+1]];
-        index inverts order, and up[j] is the index of order[j]'s parent."""
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray, np.ndarray]:
+        """(order, index, bounds, up, w): positions by depth, root level
+        first, each level in decreasing position order (the upward sweep's
+        order of adding children into a parent's sum) at
+        order[bounds[d]:bounds[d+1]]; index inverts order, up[j] is the index
+        of order[j]'s parent and w[j] its coupling to it."""
         rev = np.array(self._depth[::-1])
         order = (self.size - 1) - np.argsort(rev, kind="stable")
         index = np.argsort(order)
         up = index[self.parent_pos[order]]
-        return order, index, [0, *np.cumsum(np.bincount(rev)).tolist()], up
+        bounds = [0, *np.cumsum(np.bincount(rev)).tolist()]
+        return order, index, bounds, up, self.edge_w[order]
 
     @property
     def tree_edges(self) -> list[tuple[int, int, float]]:

@@ -64,15 +64,11 @@ def softplus(t):
     return np.maximum(t, 0.0) + np.log1p(np.exp(np.copysign(t, -1.0)))  # -|t|
 
 
-def sigmoid(t):
-    """1 / (1 + e^-t) as (1 if t >= 0 else e) / (1 + e), e = exp(-|t|): no
-    overflow.  As in softplus, a float takes python's abs and comparison and
-    gives the bits of a 1-element array; other input must be a float array."""
-    if isinstance(t, float):
-        e = float(np.exp(-abs(t)))
-        return (1.0 if t >= 0.0 else e) / (1.0 + e)
-    e = np.exp(np.copysign(t, -1.0))  # -|t|
-    return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+def sigmoid(t: float) -> float:
+    """1 / (1 + e^-t) of a float as (1 if t >= 0 else e) / (1 + e), e =
+    exp(-|t|): no overflow."""
+    e = float(np.exp(-abs(t)))
+    return (1.0 if t >= 0.0 else e) / (1.0 + e)
 
 
 def logit(u):
@@ -241,52 +237,49 @@ def sample_tree(
 
 def map_assign_tree(tp: TreeProblem, ms: MessageSet) -> dict[int, int]:
     """Greedy read-out: argmax at every step of sample_tree's order, ties
-    broken toward 0."""
+    broken toward 0.  That is sample_tree's draw with every u = 0.5: as
+    logit(0.5) = 0.0, each bit is t > 0, and a tie or NaN gives 0."""
     tree = tp.tree
     a = _excl_parent_fields(tp, ms)
-    parent = tree.parent_pos.tolist()
-    edge_w = tree.edge_w.tolist()
-    bits = [0] * tree.size
-    bits[0] = int(a[0] > 0.0)
-    for p in range(1, tree.size):
-        t = a[p] - tp.beta * edge_w[p] if bits[parent[p]] else a[p]
-        bits[p] = int(t > 0.0)
-    return dict(zip(tree.nodes, bits))
+    return dict(zip(tree.nodes, _sample_scalar(tree, a, tp.beta, [0.5] * tree.size)))
 
 
 # ----------------------------------------------------------------------
-# Replica-ensemble kernels: the scalar recurrences, softplus included, on
-# (R, M) arrays, one vectorized step per tree level, so the Python loop runs
-# over the tree's depth rather than its size.  Each kernel gathers its
-# inputs once into SubTree._layout's order, position-major (M, R), so a
-# level is a slice of rows, and scatters its result back once; at the
-# interface arrays are (R, M) in position order (a transposed view, free).
+# Replica-ensemble kernels: the scalar recurrences, softplus included, one
+# vectorized step per tree level across all replicas, so the Python loop
+# runs over the tree's depth rather than its size.  Arrays are
+# position-major, (M, R), so a level is a slice of rows; u alone is (R, M),
+# one row per replica's generator.  The upward fields s_up stay in
+# SubTree._layout's level order from one kernel to the other: eff comes in
+# by tree position and is gathered once, u is gathered block by block, and
+# the bits go back to tree position once.
 # ----------------------------------------------------------------------
 
 _BLOCK_ENTRIES = 1 << 14  # per block: (row, replica) draws, ibp's gather products
 
 
 def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
-    """S_{p->parent} for every replica; eff is (R, M), result (R, M).
+    """S_{p->parent} for every replica: eff is (M, R) by tree position, the
+    result (M, R) in layout order, row j for position order[j].
 
     Levels are swept deepest first, the softplus of a level's S - beta*w and
     S in one call on a (2, k, R) block.  np.bincount adds the level's
     messages into their parents' sums from 0.0, one at a time in the level's
-    decreasing position order, as _upward_scalar does, so each row equals its
-    s_up exactly.  Raises NumericError if any upward field S is not finite.
+    decreasing position order, as _upward_scalar does, so each column equals
+    its s_up exactly.  Raises NumericError if any upward field S is not finite.
     """
-    order, index, bounds, up = tree._layout
-    r = eff.shape[0]
+    order, _, bounds, up, w = tree._layout
+    r = eff.shape[1]
     # A child's entry in its parent level's sums: parent row * r + replica.
     rel = up - np.repeat([0, *bounds[:-2]], np.diff(bounds))
     into = (rel[:, None] * r + np.arange(r)).reshape(-1)
     # The finiteness check below reports overflow; numpy need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
-        s_up = eff.T[order]
+        s_up = eff[order]
         s_up *= -beta
         # S - bw is a level's (2, k, R) block of S - beta*w and S - 0 = S.
         bw = np.zeros((2, tree.size, 1))
-        bw[0, :, 0] = beta * tree.edge_w[order]
+        bw[0, :, 0] = beta * w
         chsum = 0.0  # the deepest level adds +0.0, as the scalar sweep does
         for d in range(len(bounds) - 2, 0, -1):
             plo, lo, hi = bounds[d - 1 : d + 2]
@@ -297,30 +290,32 @@ def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
         s_up[:1] += chsum
     if not np.isfinite(s_up).all():
         raise NumericError("non-finite upward field")
-    return s_up[index].T
+    return s_up
 
 
 def ensemble_sample(
     tree: SubTree, s_up: np.ndarray, beta: float, u: np.ndarray
 ) -> np.ndarray:
-    """Sample all replicas' tree bits from uniforms u of shape (R, M) by
-    _sample_scalar's rule.  Per block of at most _BLOCK_ENTRIES (row, replica)
-    entries: c0 = logit(u) < a, the bit under a 0-parent or at the root, and
-    c1 = logit(u) < a - beta*w under a 1-parent (+-inf where beta*w overflows).
-    Then per level, root first, three bool operations: c0 ^ (parent & (c0 ^ c1))."""
-    order, index, bounds, up = tree._layout
+    """All replicas' tree bits by _sample_scalar's rule, as (M, R) uint8 by
+    tree position, from ensemble_upward's layout-order s_up and uniforms u
+    of shape (R, M) by position.  Per block of at most _BLOCK_ENTRIES
+    (row, replica) entries: c0 = logit(u) < a, the bit under a 0-parent or
+    at the root, and c1 = logit(u) < a - beta*w under a 1-parent (+-inf
+    where beta*w overflows).  Then per level, root first, three bool
+    operations: c0 ^ (parent & (c0 ^ c1)).  The inputs are not written."""
+    order, index, bounds, up, w = tree._layout
     r, m = u.shape
     c0, flip = np.empty((2, m, r), dtype=np.bool_)  # flip = c0 ^ c1
     with np.errstate(over="ignore"):
-        bw = (beta * tree.edge_w[order])[:, None]
+        bw = (beta * w)[:, None]
         for lo in range(0, m, rows := max(1, _BLOCK_ENTRIES // r)):
             blk = slice(lo, lo + rows)
-            lu, a = logit(u.T[order[blk]]), s_up.T[order[blk]]
+            lu, a = logit(u.T[order[blk]]), s_up[blk]
             np.less(lu, a, out=c0[blk])
-            np.less(lu, np.subtract(a, bw[blk], out=a), out=flip[blk])
+            np.less(lu, a - bw[blk], out=flip[blk])
             flip[blk] ^= c0[blk]
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
         t = c0[up[lo:hi]]
         t &= flip[lo:hi]
         c0[lo:hi] ^= t
-    return c0[index].view(np.uint8).T
+    return c0[index].view(np.uint8)
