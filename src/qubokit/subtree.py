@@ -10,6 +10,7 @@ remains.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Protocol
@@ -21,11 +22,12 @@ from .qubo import QuboInstance, _check_beta
 
 @dataclass
 class SubTree:
-    """Induced sub-tree in selection order: nodes[0] is the root.
+    """Induced sub-tree by position: nodes[0] is the root.
 
     parent_pos[p] is the position (index into nodes) of node p's parent,
     -1 for the root.  edge_w[p] is the coupling to the parent, 0.0 at the
-    root.  Selection order is topological: parents precede children.  Only
+    root.  Positions are topological: parents precede children.  Selected
+    trees' are in level order too, as the ensemble kernels need.  Only
     hand-built trees are checked: select_subtree builds them valid (_selected).
     """
 
@@ -73,18 +75,11 @@ class SubTree:
         return children
 
     @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray, np.ndarray]:
-        """(order, index, bounds, up, w): positions by depth, root level
-        first, each level in decreasing position order (the upward sweep's
-        order of adding children into a parent's sum) at
-        order[bounds[d]:bounds[d+1]]; index inverts order, up[j] is the index
-        of order[j]'s parent and w[j] its coupling to it."""
-        rev = np.array(self._depth[::-1])
-        order = (self.size - 1) - np.argsort(rev, kind="stable")
-        index = np.argsort(order)
-        up = index[self.parent_pos[order]]
-        bounds = [0, *np.cumsum(np.bincount(rev)).tolist()]
-        return order, index, bounds, up, self.edge_w[order]
+    def _bounds(self) -> list[int]:
+        """Level d is positions _bounds[d]:_bounds[d + 1]; ValueError if not in level order."""
+        if self._depth != sorted(self._depth):
+            raise ValueError("the ensemble kernels need a tree in level order")
+        return [bisect_left(self._depth, d) for d in range(self._depth[-1] + 2)]
 
     @property
     def tree_edges(self) -> list[tuple[int, int, float]]:
@@ -95,7 +90,7 @@ class SubTree:
         ]
 
     def position(self, node: int) -> int:
-        """Position of `node` in selection order; ValueError if absent."""
+        """Position of `node` in the tree; ValueError if absent."""
         try:
             return self.nodes.index(node)
         except ValueError:
@@ -131,7 +126,8 @@ class _Integers(Protocol):
 def select_subtree(q: QuboInstance, rng: _Integers) -> SubTree:
     """Grow a random induced sub-tree; frontier = outside nodes with exactly
     one coupling into the current set.  rng is used only as rng.integers(k).
-    The tree is built once: no second pass checks it or finds its depths."""
+    No pass checks the tree or finds its depths.  Positions come in level
+    order, each level in join order, relabelled only if levels interleaved."""
     n = q.n
     adjacency = q.adjacency
     integers = rng.integers
@@ -176,7 +172,14 @@ def select_subtree(q: QuboInstance, rng: _Integers) -> SubTree:
         parent_pos.append(pp := entry_parent[u])
         edge_w.append(entry_w[u])
         depth.append(depth[pp] + 1)
-    return SubTree._selected(nodes, parent_pos, edge_w, depth)
+    if depth == (level_depth := sorted(depth)):
+        return SubTree._selected(nodes, parent_pos, edge_w, depth)
+    # A level grew after a deeper one began: relabel by a stable sort on depth.
+    order = sorted(range(len(depth)), key=depth.__getitem__)
+    new = {p: j for j, p in enumerate(order)}
+    return SubTree._selected(
+        [nodes[p] for p in order], [-1] + [new[parent_pos[p]] for p in order[1:]],
+        [edge_w[p] for p in order], level_depth)
 
 
 def build_tree_problem(

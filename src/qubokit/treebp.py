@@ -227,8 +227,8 @@ def sample_tree(
 ) -> dict[int, int]:
     """Draw the tree's bits from the exact conditioned Boltzmann law.
 
-    Root from its marginal, then children in selection order given the
-    parent's drawn value.  Consumes exactly M uniforms from rng.
+    Root from its marginal, then the other positions in increasing order,
+    each given its parent's drawn value.  Consumes exactly M uniforms from rng.
     """
     a = _excl_parent_fields(tp, ms)
     u = rng.random(tp.tree.size).tolist()
@@ -247,46 +247,42 @@ def map_assign_tree(tp: TreeProblem, ms: MessageSet) -> dict[int, int]:
 # ----------------------------------------------------------------------
 # Replica-ensemble kernels: the scalar recurrences, softplus included, one
 # vectorized step per tree level across all replicas, so the Python loop
-# runs over the tree's depth rather than its size.  Arrays are
-# position-major, (M, R), so a level is a slice of rows; u alone is (R, M),
-# one row per replica's generator.  The upward fields s_up stay in
-# SubTree._layout's level order from one kernel to the other: eff comes in
-# by tree position and is gathered once, u is gathered block by block, and
-# the bits go back to tree position once.
+# runs over the tree's depth rather than its size.  The tree must be in
+# level order, so a level is a slice of rows of the position-major (M, R)
+# arrays; u alone is (R, M), one row per replica's generator.
 # ----------------------------------------------------------------------
 
 _BLOCK_ENTRIES = 1 << 14  # per block: (row, replica) draws, ibp's gather products
 
 
 def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
-    """S_{p->parent} for every replica: eff is (M, R) by tree position, the
-    result (M, R) in layout order, row j for position order[j].
+    """S_{p->parent} for every replica, (M, R) by tree position like eff.
 
     Levels are swept deepest first, the softplus of a level's S - beta*w and
     S in one call on a (2, k, R) block.  np.bincount adds the level's
-    messages into their parents' sums from 0.0, one at a time in the level's
-    decreasing position order, as _upward_scalar does, so each column equals
-    its s_up exactly.  Raises NumericError if any upward field S is not finite.
+    messages, rows in reverse, into their parents' sums from 0.0 one at a
+    time: in decreasing position order, as _upward_scalar adds them, so each
+    column equals its s_up exactly.  NumericError if an S is not finite.
     """
-    order, _, bounds, up, w = tree._layout
-    r = eff.shape[1]
-    # A child's entry in its parent level's sums: parent row * r + replica.
-    rel = up - np.repeat([0, *bounds[:-2]], np.diff(bounds))
-    into = (rel[:, None] * r + np.arange(r)).reshape(-1)
+    bounds, (m, r) = tree._bounds, eff.shape
+    # A child's entry in its parent level's sums, parent row * r + replica,
+    # rows reversed: level [lo, hi) is into[(m - hi) * r : (m - lo) * r].
+    rel = tree.parent_pos - np.repeat([0, *bounds[:-2]], np.diff(bounds))
+    into = (rel[::-1, None] * r + np.arange(r)).reshape(-1)
     # The finiteness check below reports overflow; numpy need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
-        s_up = eff[order]
-        s_up *= -beta
+        s_up = eff * -beta
         # S - bw is a level's (2, k, R) block of S - beta*w and S - 0 = S.
-        bw = np.zeros((2, tree.size, 1))
-        bw[0, :, 0] = beta * w
+        bw = np.stack([beta * tree.edge_w, np.zeros(m)])[:, :, None]
         chsum = 0.0  # the deepest level adds +0.0, as the scalar sweep does
         for d in range(len(bounds) - 2, 0, -1):
             plo, lo, hi = bounds[d - 1 : d + 2]
             s_up[lo:hi] += chsum
-            z = softplus(s_up[lo:hi] - bw[:, lo:hi])
+            rev = slice(hi - 1, lo - 1, -1)
+            z = softplus(s_up[rev] - bw[:, rev])
             z = np.subtract(z[0], z[1], out=z[0]).reshape(-1)
-            chsum = np.bincount(into[lo * r : hi * r], z, (lo - plo) * r).reshape(-1, r)
+            chsum = np.bincount(into[(m - hi) * r : (m - lo) * r], z, (lo - plo) * r)
+            chsum = chsum.reshape(-1, r)
         s_up[:1] += chsum
     if not np.isfinite(s_up).all():
         raise NumericError("non-finite upward field")
@@ -296,26 +292,26 @@ def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:
 def ensemble_sample(
     tree: SubTree, s_up: np.ndarray, beta: float, u: np.ndarray
 ) -> np.ndarray:
-    """All replicas' tree bits by _sample_scalar's rule, as (M, R) uint8 by
-    tree position, from ensemble_upward's layout-order s_up and uniforms u
-    of shape (R, M) by position.  Per block of at most _BLOCK_ENTRIES
-    (row, replica) entries: c0 = logit(u) < a, the bit under a 0-parent or
-    at the root, and c1 = logit(u) < a - beta*w under a 1-parent (+-inf
-    where beta*w overflows).  Then per level, root first, three bool
-    operations: c0 ^ (parent & (c0 ^ c1)).  The inputs are not written."""
-    order, index, bounds, up, w = tree._layout
+    """All replicas' tree bits by _sample_scalar's rule, as (M, R) uint8,
+    from ensemble_upward's s_up and uniforms u of shape (R, M), all by tree
+    position.  Per block of at most _BLOCK_ENTRIES (row, replica) entries:
+    c0 = logit(u) < a, the bit under a 0-parent or at the root, and
+    c1 = logit(u) < a - beta*w under a 1-parent (+-inf where beta*w
+    overflows).  Then per level, root first, three bool operations:
+    c0 ^ (parent & (c0 ^ c1)).  The inputs are not written."""
+    bounds, parent = tree._bounds, tree.parent_pos
     r, m = u.shape
     c0, flip = np.empty((2, m, r), dtype=np.bool_)  # flip = c0 ^ c1
     with np.errstate(over="ignore"):
-        bw = (beta * w)[:, None]
+        bw = (beta * tree.edge_w)[:, None]
         for lo in range(0, m, rows := max(1, _BLOCK_ENTRIES // r)):
             blk = slice(lo, lo + rows)
-            lu, a = logit(u.T[order[blk]]), s_up[blk]
+            lu, a = logit(u.T[blk]), s_up[blk]
             np.less(lu, a, out=c0[blk])
             np.less(lu, a - bw[blk], out=flip[blk])
             flip[blk] ^= c0[blk]
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        t = c0[up[lo:hi]]
+        t = c0[parent[lo:hi]]
         t &= flip[lo:hi]
         c0[lo:hi] ^= t
-    return c0[index].view(np.uint8)
+    return c0.view(np.uint8)

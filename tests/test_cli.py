@@ -167,7 +167,7 @@ class TestGoldenCsv:
     # two 64-replica SA blocks.
     @pytest.mark.parametrize("algo, digest", [
         ("sa", "34d0246740b0226fa218614b853dcf9a876d31a3cd46d6339a3e9a40ad27578b"),
-        ("ibp", "2dc624dbc1d6b7aa3b169bf489ade8c24360e780d852dc9ddb4acfa0cb8554fc"),
+        ("ibp", "c8a6fb8bb066e1b2ba947f13679d22cc67ada71641e590b476087779a1c1133c"),
     ])
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_checkpoint_csv_digest(self, tmp_path, capsys, algo, digest, threads):

@@ -56,6 +56,16 @@ class TestSubTreeType:
         with pytest.raises(ValueError):
             SubTree([0, 0], np.array([-1, 0]), np.array([0.0, 1.0]))
 
+    def test_level_bounds_of_hand_built_trees(self):
+        # depths 0, 1, 1, 2: level order, bounds from the depths
+        t = SubTree([5, 6, 7, 8], np.array([-1, 0, 0, 2]), np.zeros(4))
+        assert t._bounds == [0, 1, 3, 4]
+        # depths 0, 1, 2, 1: topological, so valid, but not in level order
+        t = SubTree([5, 6, 7, 8], np.array([-1, 0, 1, 0]), np.zeros(4))
+        assert t.children == [[1, 3], [2], [], []]
+        with pytest.raises(ValueError, match="level order"):
+            t._bounds
+
 
 class TestSelection:
     def test_no_couplings_gives_single_node(self):
@@ -119,8 +129,8 @@ class TestSelection:
 
     def test_seeded_selections_match_golden_digest(self):
         # sha256 of (nodes, parent_pos) over 50 seeded selections pins the
-        # selected trees and the RNG draw sequence, on which every seeded
-        # IBP trajectory depends
+        # selected trees, their labels and the RNG draw sequence, on which
+        # every seeded IBP trajectory depends
         q = random_sparse_qubo(gen_er_graph(200, 0.05, 0), 1)
         rng = np.random.default_rng(2)
         digest = hashlib.sha256()
@@ -129,7 +139,25 @@ class TestSelection:
             digest.update(np.asarray(tree.nodes, dtype=np.int64).tobytes())
             digest.update(np.asarray(tree.parent_pos, dtype=np.int64).tobytes())
         assert digest.hexdigest() == (
-            "12a2797ef5c1f3d79ccec94bbba9f8851d72feb75980af7ced25843bd8b7ef3e"
+            "0f15acb8a6445b3d58f075be7f717b00ec61ce8d8a462441dc3ddf32f4e5b320"
+        )
+
+    def test_seeded_selections_match_order_free_digest(self):
+        # the same 50 selections hashed without their labels: each tree's
+        # root node and size, then its sorted (parent node, child node, w)
+        # edges.  Recorded before selection went to level order, so it pins
+        # the node sets, parents and couplings across that relabelling.
+        q = random_sparse_qubo(gen_er_graph(200, 0.05, 0), 1)
+        rng = np.random.default_rng(2)
+        digest = hashlib.sha256()
+        for _ in range(50):
+            tree = select_subtree(q, rng)
+            edges = sorted(tree.tree_edges)
+            digest.update(np.array([tree.nodes[0], tree.size], dtype=np.int64).tobytes())
+            digest.update(np.array([e[:2] for e in edges], dtype=np.int64).tobytes())
+            digest.update(np.array([e[2] for e in edges], dtype=np.float64).tobytes())
+        assert digest.hexdigest() == (
+            "7353e70e3bfd4454da3e47aa6ddde1dd6d19258fde55de2395d2903b05cda416"
         )
 
 
@@ -161,6 +189,22 @@ class TestSelectionInvariants:
             if v not in inside:
                 assert sum(k in inside for k, _ in q.adjacency[v]) != 1, v
 
+    @settings(max_examples=300, deadline=None)
+    @given(q=small_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_tree_is_in_level_order(self, q, seed):
+        # depths never decrease along the positions, so each parent is in
+        # the level above, and the bounds mark off the run of each depth
+        tree = select_subtree(q, np.random.default_rng(seed))
+        parent = tree.parent_pos.tolist()
+        depth = [0] * tree.size
+        for p in range(1, tree.size):
+            depth[p] = depth[parent[p]] + 1
+        assert depth == sorted(depth)
+        bounds = tree._bounds
+        assert len(bounds) == depth[-1] + 2 and bounds[0] == 0 and bounds[-1] == tree.size
+        for d in range(depth[-1] + 1):
+            assert depth[bounds[d] : bounds[d + 1]] == [d] * depth.count(d)
+
 
 def hub_instance(seed: int) -> QuboInstance:
     """Random ER(60, 0.08) instance plus variable 0 coupled to every other."""
@@ -191,8 +235,7 @@ class TestSelectedTreeRecords:
             rebuilt = SubTree(tree.nodes, tree.parent_pos, tree.edge_w)
             assert tree.parent_pos.dtype == np.int64 and tree.edge_w.dtype == np.float64
             assert tree._depth == rebuilt._depth
-            for got, want in zip(tree._layout, rebuilt._layout):
-                assert np.array_equal(got, want)
+            assert tree._bounds == rebuilt._bounds
             assert tree.children == rebuilt.children
 
 

@@ -345,16 +345,16 @@ class TestMapAssign:
 
 
 def shaped_tree_problem(shape, seed, beta=1.7):
-    """Tree problem whose parent list has the given shape: a path (one
-    node per level), a star (root with 24 children), or a random
-    recursive tree."""
+    """Tree problem in level order whose parent list has the given shape: a
+    path (one node per level), a star (root with 24 children), or a random
+    recursive tree relabelled breadth first (its parent draws sorted)."""
     rng = np.random.default_rng(seed)
     if shape == "path":
         parent_pos = [-1] + list(range(11))
     elif shape == "star":
         parent_pos = [-1] + [0] * 24
     else:
-        parent_pos = [-1] + [int(rng.integers(p)) for p in range(1, 40)]
+        parent_pos = [-1] + sorted(int(rng.integers(p)) for p in range(1, 40))
     m = len(parent_pos)
     edge_w = np.concatenate([[0.0], rng.uniform(-2.0, 2.0, m - 1)])
     tree = SubTree(list(range(m)), np.array(parent_pos), edge_w)
@@ -377,10 +377,9 @@ class TestEnsembleKernels:
         s_up = ensemble_upward(tree, effs.T, tp.beta)
         u = np.stack([np.random.default_rng(100 + k).random(tree.size) for k in range(r)])
         bits = ensemble_sample(tree, s_up, tp.beta, u)
-        index = tree._layout[1]
         for k in range(r):
             tpk = TreeProblem(tree, effs[k], tp.beta)
-            assert s_up[index, k].tolist() == _upward_scalar(tree, effs[k].tolist(), tp.beta)[0]
+            assert s_up[:, k].tolist() == _upward_scalar(tree, effs[k].tolist(), tp.beta)[0]
             sample = sample_tree(tpk, bp_pass(tpk), np.random.default_rng(100 + k))
             assert [sample[n] for n in tree.nodes] == list(bits[:, k])
 
@@ -405,7 +404,7 @@ class TestEnsembleKernels:
         elif shape == "star":
             parent_pos = [-1] + [0] * (m - 1)
         else:
-            parent_pos = [-1] + [int(rng.integers(p)) for p in range(1, m)]
+            parent_pos = [-1] + sorted(int(rng.integers(p)) for p in range(1, m))
         edge_w = np.concatenate([[0.0], rng.uniform(-scale, scale, m - 1)])
         if huge_w:
             edge_w[1:] = 1e308
@@ -419,10 +418,9 @@ class TestEnsembleKernels:
         # neither kernel writes its inputs, views of them included
         assert effs.tobytes() == effs_in.tobytes() and u.tobytes() == u_in.tobytes()
         assert s_up.tobytes() == s_up_in.tobytes()
-        index = tree._layout[1]
         for k in range(r):
             want, _ = _upward_scalar(tree, effs[k].tolist(), beta)
-            assert s_up[index, k].tobytes() == np.array(want).tobytes()
+            assert s_up[:, k].tobytes() == np.array(want).tobytes()
             assert bits[:, k].tolist() == _sample_scalar(tree, want, beta, u[k].tolist())
 
     @pytest.mark.parametrize(
@@ -434,7 +432,7 @@ class TestEnsembleKernels:
         # is -inf on python floats, so the child draws 0 (not a fair coin
         # from FLOAT_MAX - FLOAT_MAX = 0), and numpy must not warn
         tree = SubTree([0, 1], np.array([-1, 0]), np.array([0.0, 1e308]))
-        s_up = np.array([[50.0, field]])  # a path's layout order is its position order
+        s_up = np.array([[50.0, field]])
         u = np.array([[0.5, 0.25]])
         want = _sample_scalar(tree, s_up[0].tolist(), beta, u[0].tolist())
         assert want == [1, 0]
@@ -467,9 +465,8 @@ class TestEnsembleKernels:
         monkeypatch.setattr(treebp_module, "_BLOCK_ENTRIES", cap)
         for tree, s_up, u, want in cases:
             assert ensemble_sample(tree, s_up, 2.0, u).tobytes() == want.tobytes()
-            a = s_up[tree._layout[1]]
             for k in range(len(u)):
-                assert want[:, k].tolist() == _sample_scalar(tree, a[:, k].tolist(), 2.0, u[k].tolist())
+                assert want[:, k].tolist() == _sample_scalar(tree, s_up[:, k].tolist(), 2.0, u[k].tolist())
 
     @pytest.mark.parametrize("beta", [1.0, 1e3])
     def test_twins_agree_on_zero_fields_and_extreme_beta(self, beta):
@@ -484,7 +481,7 @@ class TestEnsembleKernels:
             states = rng.integers(0, 2, (6, q.n)).astype(np.uint8)
             effs = np.stack([build_tree_problem(q, tree, x, beta).eff_field for x in states])
             zeros += int((effs == 0.0).sum())
-            s_up = ensemble_upward(tree, effs.T, beta)[tree._layout[1]]
+            s_up = ensemble_upward(tree, effs.T, beta)
             for k in range(len(states)):
                 want = np.array(_upward_scalar(tree, effs[k].tolist(), beta)[0])
                 assert s_up[:, k].tobytes() == want.tobytes()
@@ -504,6 +501,15 @@ class TestEnsembleKernels:
         for _ in range(20):
             check_layout(select_subtree(q, rng))
 
+    def test_kernels_reject_a_tree_out_of_level_order(self):
+        # depths 0, 1, 2, 1: a valid topological order for the scalar
+        # engine, but level 1 is not one run of positions
+        tree = SubTree([0, 1, 2, 3], np.array([-1, 0, 1, 0]), np.array([0.0, 1.0, -1.0, 2.0]))
+        with pytest.raises(ValueError, match="level order"):
+            ensemble_upward(tree, np.zeros((4, 2)), 1.0)
+        with pytest.raises(ValueError, match="level order"):
+            ensemble_sample(tree, np.zeros((4, 2)), 1.0, np.full((2, 4), 0.5))
+
 
 def integer_instance(n, p, seed):
     """ER(n, p) instance with couplings in {+-1, +-2} and fields in
@@ -515,18 +521,13 @@ def integer_instance(n, p, seed):
 
 
 def check_layout(tree):
-    """Root first, each level contiguous and in decreasing position order,
-    each parent in the level above, each coupling with its position."""
-    order, index, bounds, up, w = tree._layout
-    assert w.tobytes() == tree.edge_w[order].tobytes()
-    assert sorted(order.tolist()) == list(range(tree.size))
-    assert np.array_equal(order[index], np.arange(tree.size))
-    assert order[0] == 0 and bounds[:2] == [0, 1] and bounds[-1] == tree.size
+    """Level order: the root's level first, each level a nonempty run of
+    positions, each parent in the level above."""
+    bounds = tree._bounds
+    assert bounds[:2] == [0, 1] and bounds[-1] == tree.size
     parent = tree.parent_pos.tolist()
     for d in range(1, len(bounds) - 1):
         lo, hi = bounds[d], bounds[d + 1]
-        lev = order[lo:hi].tolist()
-        assert lo < hi and lev == sorted(lev, reverse=True)
-        for j in range(lo, hi):
-            assert bounds[d - 1] <= up[j] < lo
-            assert order[up[j]] == parent[order[j]]
+        assert lo < hi
+        for p in range(lo, hi):
+            assert bounds[d - 1] <= parent[p] < lo
