@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import treebp
 from .anneal import (
     AnnealSchedule,
     ChunkRunner,
@@ -27,7 +26,14 @@ from .anneal import (
 )
 from .qubo import QuboInstance, _check_beta
 from .subtree import build_tree_problem, frozen_neighbor_arrays, select_subtree
-from .treebp import _sample_scalar, _upward_scalar, ensemble_sample, ensemble_upward
+from .treebp import (
+    _frozen_fields,
+    _sample_scalar,
+    _sum_rows,
+    _upward_scalar,
+    ensemble_sample,
+    ensemble_upward,
+)
 
 
 def ibp_step(
@@ -86,45 +92,6 @@ class _BufferedIntegers:
             # The low word is below the threshold only if it is below k.
             if m & 0xFFFFFFFF >= k or m & 0xFFFFFFFF >= (2**32 - k) % k:
                 return m >> 32
-
-
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """a[0] + a[1] + ... in order: np.add.reduce, or accumulate (in a) where a
-    row is one element, since numpy then sums the contiguous axis pairwise."""
-    return np.add.reduce(a, 0) if a.size > len(a) else np.add.accumulate(a, 0, out=a)[-1]
-
-
-def _frozen_fields(
-    hbase: np.ndarray, deg: np.ndarray, idx: np.ndarray, wmat: np.ndarray,
-    xt: np.ndarray,
-) -> np.ndarray:
-    """(M, R) fields h + sum of w * x over the rows (idx, wmat) of
-    frozen_neighbor_arrays, whose degrees are deg, and the position-major
-    states xt, tree bits set to 0.  Each row adds its terms column by column
-    in adjacency order, the products made in blocks of at most
-    treebp._BLOCK_ENTRIES; one block is stacked under h and summed at once.
-    Past one block the rows go by decreasing degree, stably, so block
-    [c, c + cols) reads only the rows of degree > c; the fields are put back
-    in tree order once, at the end."""
-    (m, width), r = idx.shape, xt.shape[1]
-    cols = max(1, treebp._BLOCK_ENTRIES // (m * r))
-    if cols >= width:
-        terms = np.empty((width + 1, m, r))
-        terms[0] = hbase
-        np.multiply(wmat.T[:, :, None], xt[idx.T], out=terms[1:])
-        return _sum_rows(terms)
-    perm = np.argsort(-deg, kind="stable")
-    rows = (m - np.cumsum(np.bincount(deg, minlength=width))).tolist()
-    eff = np.repeat(hbase[perm], r, axis=1)
-    idx, wmat = idx[perm], wmat[perm]
-    for c in range(0, width, cols):
-        k = rows[c]
-        head = eff[:k]
-        for term in wmat.T[c : c + cols, :k, None] * xt[idx.T[c : c + cols, :k]]:
-            head += term
-        del term  # frees the block before the next one is made
-    eff[perm] = eff.copy()
-    return eff
 
 
 def _make_ibp_step(

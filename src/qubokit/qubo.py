@@ -73,9 +73,10 @@ class QuboInstance:
         self.pair_j = np.array([p[1] for p in pairs], dtype=np.int64)
         self.pair_w = np.array([p[2] for p in pairs], dtype=np.float64)
 
-        # Adjacency in two layouts: python lists of (neighbor, w) for the
-        # scalar code paths, and the padded arrays of padded_adjacency for
-        # vectorised ones.  Rows are ascending because pairs are sorted.
+        # Adjacency in three layouts, each row in the same ascending order
+        # (pairs are sorted): python lists of (neighbor, w) for the scalar
+        # code paths, the padded arrays of padded_adjacency for the field
+        # gathers, and the compressed rows of _csr for SA's field updates.
         # _degrees holds each row's length, the one record of it.
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
         for i, j, v in pairs:
@@ -85,6 +86,7 @@ class QuboInstance:
         self._degrees = np.fromiter(map(len, adj), np.int64, self.n)
 
         self._padded_adj: tuple[np.ndarray, np.ndarray] | None = None
+        self._csr_adj: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -137,6 +139,21 @@ class QuboInstance:
                     wgt[i, : len(lst)] = [t[1] for t in lst]
             self._padded_adj = (idx, wgt)
         return self._padded_adj
+
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compressed rows (ptr, nbr, w): row i's neighbors and weights are
+        nbr[ptr[i]:ptr[i + 1]] and w[ptr[i]:ptr[i + 1]], in adjacency order.
+        A stable argsort by row of the couplings as (j, i) then (i, j) puts
+        each row's lower neighbors first, both halves ascending.  Built once
+        and cached."""
+        if self._csr_adj is None:
+            order = np.argsort(np.concatenate([self.pair_j, self.pair_i]), kind="stable")
+            nbr = np.concatenate([self.pair_i, self.pair_j])[order]
+            w = np.concatenate([self.pair_w, self.pair_w])[order]
+            ptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(self._degrees, out=ptr[1:])
+            self._csr_adj = (ptr, nbr, w)
+        return self._csr_adj
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuboInstance):
@@ -196,17 +213,17 @@ def energy_batch(q: QuboInstance, states: np.ndarray) -> np.ndarray:
 
 
 def delta_energy(q: QuboInstance, x, i: int) -> float:
-    """Energy change from flipping bit i, over a row as wide as the max degree.
-
-    Equals (1 - 2 x_i) * (h[i] + sum_{j in adj(i)} w[i,j] x_j).
+    """Energy change from flipping bit i:
+    (1 - 2 x_i) * (h[i] + sum_{j in adj(i)} w[i,j] x_j), summed over i's own
+    adjacency on python floats.
     """
     xf = _as_assignment(q, x)
     if not 0 <= i < q.n:
         raise ValueError(f"variable index {i} out of range [0, {q.n})")
-    # The SA kernel's arithmetic, so that sa_sweep matches it bit for bit.
-    idx, wgt = q.padded_adjacency()
-    field = np.add.reduce(wgt[i] * xf[idx[i]]) + q.h[i]
-    return float((1.0 - 2.0 * xf[i]) * field)
+    field = float(q.h[i])
+    for j, w in q.adjacency[i]:
+        field += w * float(xf[j])
+    return (1.0 - 2.0 * float(xf[i])) * field
 
 
 # ----------------------------------------------------------------------

@@ -2,19 +2,40 @@
 
 `sa_sweep` is the per-sweep reference: one replica visits all n sites in a
 fresh random permutation and flips each with probability
-min(1, e^(-beta*d)).  `sa_run` drives a run-batched kernel that makes the
-same draws and the same decisions for all replicas at once.
+min(1, e^(-beta*d)).  `sa_run` drives a kernel that makes the same draws
+and the same decisions for all replicas, in blocks of at most 64.
 
-Run batching: each replica's permutation is cut greedily into maximal
-runs, stretches of consecutive positions in which no two sites share a
-coupling.  Round k of a sweep resamples run k of every replica in a block
-of at most 64 replicas with one set of numpy operations, so Python loops
-over rounds rather than over sites: a sweep takes about 56 rounds on random
-ER(300, 0.05) with one replica, and 67 and 100 on MIS ER(500, 0.02) and
-ER(2000, 0.003) with 64-replica blocks.  No site's field changes while
-its run is processed, so every field, acceptance decision and state equals
-the sequential sweep's, bit for bit.  Each replica's energy changes are
-added in visiting order, so the cached energies match too.
+Cached local fields, after Isakov, Zintchenko, Ronnow and Troyer,
+"Optimised simulated annealing for Ising spin glasses", CPC 192, 265
+(2015): at the start of each sweep a block builds the coupling part
+G = W x of its fields once, by treebp._frozen_fields summed from 0.0.
+Flipping site i changes the energy by d = +-(h[i] + G[i]), read in O(1);
+an accepted flip adds +-w to its neighbours' G in adjacency order, in
+O(degree).  h stays out of the running sums, where a large coupling would
+absorb it: with h = -1 and a coupling of 1e307, G returns to 0.0 exactly
+once that neighbour flips back, where h + W x would lose the -1.
+
+Accept rule: a sweep draws a permutation and then n uniforms u from the
+replica's stream, and takes -log(u) once for all n sites; site t's flip is
+accepted where beta * max(d, 0) < -log(u[t]), so no site needs an exp.
+That is u < e^(-beta*d) up to rounding at the boundary, except at u = 0
+exactly, where -log(u) = inf accepts any flip whose beta * d is finite.
+As beta > 0 and -log(u) > 0 for every u < 1, the loops test
+beta * d < -log(u[t]), the same decision without the max.  beta * d
+overflows to +-inf on a steep flip, which decides it correctly, so numpy
+need not warn.
+
+Two loops, one per block shape.  A block of one replica runs _sweep_one,
+the loop `sa_sweep` runs after building G from x: site by site on python
+lists.  Wider blocks are run-batched: each replica's permutation is cut
+greedily into maximal runs, stretches of consecutive positions in which no
+two sites share a coupling, and round k of a sweep resamples run k of every
+replica in the block with one set of numpy operations, about 67 and 100
+rounds on MIS ER(500, 0.02) and ER(2000, 0.003).  No site's field changes
+while its run is processed.  Both loops add each accepted d to the cached
+energy in visiting order and each field update in adjacency order, so
+states and cached energies are bit-identical for any block width and any
+thread count.
 """
 
 from __future__ import annotations
@@ -29,29 +50,65 @@ from .anneal import (
     StepFn,
     run_schedule,
 )
-from .qubo import QuboInstance, _check_beta, delta_energy
+from .qubo import QuboInstance, _check_beta
+from .treebp import _frozen_fields
+
+
+def _thresholds(u: np.ndarray) -> np.ndarray:
+    """-log(u), in place of u; u = 0 gives inf without a warning."""
+    with np.errstate(divide="ignore"):
+        np.log(u, out=u)
+    return np.negative(u, out=u)
+
+
+def _coupling_fields(q: QuboInstance, xt: np.ndarray) -> np.ndarray:
+    """(n, R) fields W x, summed from 0.0, of the position-major states xt."""
+    idx, wgt = q.padded_adjacency()
+    return _frozen_fields(np.zeros((q.n, 1)), q._degrees, idx, wgt, xt)
+
+
+def _sweep_one(
+    q: QuboInstance, x: np.ndarray, e: float, beta: float, rng: np.random.Generator
+) -> tuple[float, int]:
+    """One replica's sweep, site by site on python lists, of its state row x
+    (updated in place) with cached energy e; returns e plus each accepted
+    change, in visiting order, and the accepted count.  Python floats
+    overflow to inf without a warning."""
+    sites = rng.permutation(q.n).tolist()
+    thr = _thresholds(rng.random(q.n)).tolist()
+    g = _coupling_fields(q, x[:, None]).ravel().tolist()
+    h, adj, xs = q.h.tolist(), q.adjacency, x.tolist()
+    accepted = 0
+    for i, t in zip(sites, thr):
+        d = h[i] + g[i]
+        if xs[i]:
+            d = -d
+        if beta * d < t:
+            xs[i] ^= 1
+            e += d
+            accepted += 1
+            if xs[i]:
+                for j, w in adj[i]:
+                    g[j] += w
+            else:
+                for j, w in adj[i]:
+                    g[j] -= w
+    x[:] = xs
+    return e, accepted
 
 
 def sa_sweep(
     q: QuboInstance, x: np.ndarray, beta: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
     """One sweep: visit all n variables in a fresh random permutation and
-    flip each with probability min(1, e^(-beta*d)).
+    flip each with probability min(1, e^(-beta*d)), by the accept rule of
+    the module docstring.
 
     Mutates x in place; returns (x, accepted count).  Counts as n spin
     updates (attempts) regardless of acceptance.
     """
     _check_beta(beta)
-    perm = rng.permutation(q.n)
-    u = rng.random(q.n)
-    accepted = 0
-    for t in range(q.n):
-        i = int(perm[t])
-        d = delta_energy(q, x, i)
-        if u[t] < np.exp(-beta * max(d, 0.0)):
-            x[i] = 1 - x[i]
-            accepted += 1
-    return x, accepted
+    return x, _sweep_one(q, x, 0.0, beta, rng)[1]
 
 
 # Replicas swept together; bounds the kernel's working set.
@@ -108,56 +165,75 @@ def _make_sa_step(
     chain_rng: np.random.Generator,
     run_chunks: ChunkRunner,
 ) -> StepFn:
-    """Run-batched sweep over the replica axis; see the module docstring.
+    """Sweeps over the replica axis in blocks; see the module docstring.
     chain_rng is unused (kept so IBP and SA runs share the seed layout)."""
     states, energies, rngs = ens.states, ens.energies, ens.rngs
-    idx, wgt = q.padded_adjacency()
-    h, n = q.h, q.n
+    h, n, deg = q.h, q.n, q._degrees
 
     def sweep(lo: int, hi: int, beta: float) -> None:
         nb = hi - lo
-        perms = np.stack([rngs[r].permutation(n) for r in range(lo, hi)])
-        us = np.stack([rngs[r].random(n) for r in range(lo, hi)])
+        if nb == 1:
+            energies[lo], _ = _sweep_one(q, states[lo], float(energies[lo]), beta, rngs[lo])
+            return
+        # Position-major (n, nb) bits and coupling fields, both indexed by
+        # the flat element site * nb + replica; the fields first, before the
+        # sweep's index arrays exist, to keep the peak low.
+        xt = states[lo:hi].T.copy()
+        g = _coupling_fields(q, xt).reshape(-1)
+        xf = xt.reshape(-1)
+        perms = np.stack([rngs[r].permutation(n) for r in range(lo, hi)], dtype=np.int32)
+        thr = np.empty((nb, n))
+        for k in range(nb):
+            rngs[lo + k].random(out=thr[k])
+        _thresholds(thr)
         bounds = _run_bounds(perms, q.pair_i, q.pair_j)
         # Elements (replica, position) in round-major order, each round in
         # (replica, position) order: round k is elements off[k]:off[k + 1].
         off = bounds.sum(axis=1)
         lens = np.diff(bounds, axis=0).ravel()
-        rows = np.tile(np.arange(nb), bounds.shape[0] - 1)
+        rows = np.tile(np.arange(nb, dtype=np.int32), bounds.shape[0] - 1)
         run_cell = bounds[:-1].ravel() + rows * n
-        cell = np.repeat(run_cell - np.cumsum(lens) + lens, lens) + np.arange(nb * n)
+        cell = np.repeat(run_cell - np.cumsum(lens, dtype=np.int32) + lens, lens)
+        cell += np.arange(nb * n, dtype=np.int32)
         site = perms.reshape(-1)[cell]
-        u = us.reshape(-1)[cell]
-        del perms, us, cell  # freed before the rounds, to keep the peak low
+        thr = thr.reshape(-1)[cell]
+        del perms, cell  # freed before the rounds, to keep the peak low
         rep = np.repeat(rows, lens)
-        base = rep * n
-        flat = base + site
-        xb = states[lo:hi].reshape(-1)  # a view: states is C-contiguous
+        flat = site * nb + rep
         eb = energies[lo:hi]
-        # p *= -beta overflows to -inf on a steep uphill flip; exp(-inf) = 0
-        # is the right rejection, so numpy need not warn.
+        ptr, nbr, wgt = q._csr()
+        row_end = ptr[1:]
         with np.errstate(over="ignore"):
             for k in range(bounds.shape[0] - 1):
                 sl = slice(off[k], off[k + 1])
-                s = site[sl]
                 fi = flat[sl]
-                nbr = idx[s]
-                nbr += base[sl, None]
-                fld = wgt[s]
-                fld *= xb[nbr]
-                fld = np.add.reduce(fld, axis=1)
-                fld += h[s]
-                # d = (1 - 2 x_i) * field, that is +-field.
-                xs = xb[fi]
-                d = np.negative(fld, out=fld, where=xs.view(bool))
-                p = np.maximum(d, 0.0)
-                p *= -beta
-                np.exp(p, out=p)
-                acc = u[sl] < p
-                xb[fi] = xs ^ acc
+                s = site[sl]
+                xs = xf[fi]
+                # d = (1 - 2 x_i) * (h_i + G_i), that is +-(h_i + G_i).
+                d = h[s]
+                d += g[fi]
+                np.negative(d, out=d, where=xs.view(bool))
+                acc = np.less(beta * d, thr[sl])
+                xf[fi] = xs ^ acc
+                a = np.flatnonzero(acc)
+                if not a.size:
+                    continue
+                s, r = s[a], rep[sl][a]
                 # Unbuffered and in element order: each replica's changes are
-                # added in its visiting order, as the sequential sweep adds them.
-                np.add.at(eb, rep[sl], np.where(acc, d, 0.0))
+                # added in its visiting order, as _sweep_one adds them.
+                np.add.at(eb, r, d[a])
+                # Field updates: every accepted site's row in adjacency
+                # order, +w where the new bit is 1, -w where it is 0.
+                cnt = deg[s]
+                end = np.cumsum(cnt)
+                start = row_end[s]
+                start -= end
+                pos = np.repeat(start, cnt)
+                pos += np.arange(end[-1])
+                val = wgt[pos]
+                np.negative(val, out=val, where=np.repeat(xs[a].view(bool), cnt))
+                np.add.at(g, nbr[pos] * nb + np.repeat(r, cnt), val)
+        states[lo:hi] = xt.T
 
     def step(beta: float) -> int:
         def work(lo: int, hi: int) -> None:

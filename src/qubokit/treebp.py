@@ -252,7 +252,47 @@ def map_assign_tree(tp: TreeProblem, ms: MessageSet) -> dict[int, int]:
 # arrays; u alone is (R, M), one row per replica's generator.
 # ----------------------------------------------------------------------
 
-_BLOCK_ENTRIES = 1 << 14  # per block: (row, replica) draws, ibp's gather products
+_BLOCK_ENTRIES = 1 << 14  # per block: (row, replica) draws, _frozen_fields' products
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """a[0] + a[1] + ... in order: np.add.reduce, or accumulate (in a) where a
+    row is one element, since numpy then sums the contiguous axis pairwise."""
+    return np.add.reduce(a, 0) if a.size > len(a) else np.add.accumulate(a, 0, out=a)[-1]
+
+
+def _frozen_fields(
+    hbase: np.ndarray, deg: np.ndarray, idx: np.ndarray, wmat: np.ndarray,
+    xt: np.ndarray,
+) -> np.ndarray:
+    """(M, R) fields h + sum of w * x over the padded rows (idx, wmat), whose
+    degrees are deg, and the position-major states xt: IBP's frozen fields
+    from frozen_neighbor_arrays with the tree bits set to 0, SA's local
+    fields from all of q.padded_adjacency().  Each row adds its terms
+    column by column in adjacency order, the products made in blocks of at
+    most _BLOCK_ENTRIES; one block is stacked under h and summed at once.
+    Past one block the rows go by decreasing degree, stably, so block
+    [c, c + cols) reads only the rows of degree > c; the fields are put back
+    in row order once, at the end."""
+    (m, width), r = idx.shape, xt.shape[1]
+    cols = max(1, _BLOCK_ENTRIES // (m * r))
+    if cols >= width:
+        terms = np.empty((width + 1, m, r))
+        terms[0] = hbase
+        np.multiply(wmat.T[:, :, None], xt[idx.T], out=terms[1:])
+        return _sum_rows(terms)
+    perm = np.argsort(-deg, kind="stable")
+    rows = (m - np.cumsum(np.bincount(deg, minlength=width))).tolist()
+    eff = np.repeat(hbase[perm], r, axis=1)
+    idx, wmat = idx[perm], wmat[perm]
+    for c in range(0, width, cols):
+        k = rows[c]
+        head = eff[:k]
+        for term in wmat.T[c : c + cols, :k, None] * xt[idx.T[c : c + cols, :k]]:
+            head += term
+        del term  # frees the block before the next one is made
+    eff[perm] = eff.copy()
+    return eff
 
 
 def ensemble_upward(tree: SubTree, eff: np.ndarray, beta: float) -> np.ndarray:

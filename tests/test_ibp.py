@@ -28,11 +28,11 @@ from qubokit import (
 from qubokit import ibp as ibp_module
 from qubokit import sa as sa_module
 from qubokit import treebp as treebp_module
-from qubokit.ibp import _BufferedIntegers, _frozen_fields, _make_ibp_step
+from qubokit.ibp import _BufferedIntegers, _make_ibp_step
 from qubokit.oracle import state_bits, state_index
 from qubokit.qubo import energy_batch
 from qubokit.subtree import build_tree_problem, frozen_neighbor_arrays
-from qubokit.treebp import ensemble_upward
+from qubokit.treebp import _frozen_fields, ensemble_upward
 
 
 def integer_tree_instance(n, seed):

@@ -100,29 +100,72 @@ def _without_couplings() -> QuboInstance:
     return QuboInstance(15, h=np.random.default_rng(3).normal(size=15))
 
 
+def _with_hub() -> QuboInstance:
+    # ER(30, 0.12) plus variable 0 coupled to every other variable: one row
+    # as wide as the graph, the others about 4 wide
+    q = random_sparse_qubo(gen_er_graph(30, 0.12, 6), 7)
+    rng = np.random.default_rng(8)
+    w = {(i, j): v for i, j, v in q.couplings()}
+    for j in range(1, q.n):
+        w.setdefault((0, j), float(rng.uniform(-1.0, 1.0)))
+    return QuboInstance(q.n, h=q.h, couplings=w)
+
+
+def _huge_couplings() -> QuboInstance:
+    # couplings of +-1e307 on ER(12, 0.25): fields and energies stay finite,
+    # and beta * d overflows on every coupled uphill flip at beta = 20
+    q = random_sparse_qubo(gen_er_graph(12, 0.25, 4), 4)
+    signs = np.random.default_rng(5).choice([-1e307, 1e307], q.num_couplings)
+    return QuboInstance(
+        q.n, h=q.h, couplings={(i, j): s for (i, j, _), s in zip(q.couplings(), signs)}
+    )
+
+
+def _reference_states(q, r, sweeps, beta, seed):
+    """sa_sweep over each replica's stream, as sa_run seeds them; returns the
+    final states and the best energy recomputed after every sweep."""
+    root = np.random.SeedSequence(seed)
+    root.spawn(1)  # run_schedule reserves the first child for its chain rng
+    ens = ReplicaEnsemble.initialize(q, r, root)
+    best = float(ens.energies.min())
+    for _ in range(sweeps):
+        for k in range(r):
+            sa_sweep(q, ens.states[k], beta, ens.rngs[k])
+        best = min(best, float(energy_batch(q, ens.states).min()))
+    return ens.states, best
+
+
 class TestSaRun:
-    @pytest.mark.parametrize("make_q", [_with_isolated_variables, _without_couplings])
-    @pytest.mark.parametrize("r", [1, 6, 70])  # 70 spans two 64-replica blocks
+    @pytest.mark.parametrize(
+        "make_q", [_with_isolated_variables, _without_couplings, _with_hub]
+    )
+    # 65 is a 64-replica block and a one-replica block, 70 two wide blocks
+    @pytest.mark.parametrize("r", [1, 6, 65, 70])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_matches_scalar_reference_exactly(self, make_q, r, threads):
-        # the run-batched kernel consumes the same per-replica streams as
-        # sa_sweep, so trajectories agree bit for bit
+        # the kernel consumes the same per-replica streams as sa_sweep and
+        # updates the same cached fields in the same order, so trajectories
+        # agree bit for bit, whatever the block widths
         q = make_q()
         sweeps, beta, seed = 120, 1.1, 5
-
-        root = np.random.SeedSequence(seed)
-        root.spawn(1)  # run_schedule reserves the first child for its chain rng
-        ens = ReplicaEnsemble.initialize(q, r, root)
-        best = float(ens.energies.min())
-        for _ in range(sweeps):
-            for k in range(r):
-                sa_sweep(q, ens.states[k], beta, ens.rngs[k])
-            ens.energies = energy_batch(q, ens.states)
-            best = min(best, float(ens.energies.min()))
-
+        states, best = _reference_states(q, r, sweeps, beta, seed)
         trace = sa_run(q, r, AnnealSchedule(np.full(sweeps, beta)), seed, threads=threads)
-        assert np.array_equal(trace.final_states, ens.states)
+        assert np.array_equal(trace.final_states, states)
         assert trace.best_energy == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "make_q, beta",
+        [(_with_isolated_variables, 1e308), (_huge_couplings, 20.0)],
+        ids=["beta_d_overflows", "huge_couplings"],
+    )
+    def test_overflow_matches_scalar_reference(self, make_q, beta):
+        # beta * d overflows to +-inf in both loops, a rejection or an
+        # acceptance as the sign says, and numpy warns of nothing (a warning
+        # fails the suite); R = 65 runs a wide and a one-replica block
+        q = make_q()
+        states, _ = _reference_states(q, 65, 30, beta, 2)
+        trace = sa_run(q, 65, AnnealSchedule(np.full(30, beta)), 2)
+        assert np.array_equal(trace.final_states, states)
 
     def test_energy_cache_tracks_sweeps(self):
         q = random_sparse_qubo(gen_er_graph(25, 0.2, 2), 3)
@@ -137,13 +180,15 @@ class TestSaRun:
         assert trace.checkpoints[-1].spin_updates == 9 * 17
 
     def test_thread_count_does_not_change_trace(self):
-        q = random_sparse_qubo(gen_er_graph(30, 0.12, 6), 7)
+        # 8 threads give one-replica blocks, 2 threads 4-replica blocks
+        plain = random_sparse_qubo(gen_er_graph(30, 0.12, 6), 7)
         sched = geometric_schedule(0.3, 4.0, 40)
-        base = sa_run(q, 8, sched, seed=3, threads=1)
-        for t in (2, 8):
-            other = sa_run(q, 8, sched, seed=3, threads=t)
-            assert other.checkpoints == base.checkpoints
-            assert np.array_equal(other.final_states, base.final_states)
+        for q in (plain, _with_hub()):
+            base = sa_run(q, 8, sched, seed=3, threads=1)
+            for t in (2, 8):
+                other = sa_run(q, 8, sched, seed=3, threads=t)
+                assert other.checkpoints == base.checkpoints
+                assert np.array_equal(other.final_states, base.final_states)
 
     def test_finds_mis_optimum_on_five_cycle(self):
         g = RandomGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
