@@ -49,7 +49,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--n", type=int, required=True, help="number of variables")
     gen.add_argument("--p", type=float, required=True, help="edge density")
     gen.add_argument("--penalty", type=float, default=2.0,
-                     help="MIS edge penalty (> 1)")
+                     help="MIS edge penalty (finite, > 1)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", required=True, help="instance file path")
     gen.set_defaults(func=_cmd_gen)

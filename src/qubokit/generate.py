@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,12 +81,12 @@ def maxcut_to_qubo(g: RandomGraph) -> QuboInstance:
 def mis_to_qubo(g: RandomGraph, penalty: float = 2.0) -> QuboInstance:
     """Maximum independent set as QUBO: h[i] = -1, w[i,j] = penalty on edges.
 
-    Any penalty > 1 makes dropping an endpoint of a violated edge strictly
-    improving, so every minimizer is a maximum independent set and the
-    minimum energy is -alpha(g).
+    Any finite penalty > 1 makes dropping an endpoint of a violated edge
+    strictly improving, so every minimizer is a maximum independent set and
+    the minimum energy is -alpha(g).
     """
-    if penalty <= 1.0:
-        raise ValueError(f"penalty must be > 1 for a sound encoding, got {penalty}")
+    if not (math.isfinite(penalty) and penalty > 1.0):
+        raise ValueError(f"penalty must be finite and > 1 for a sound encoding, got {penalty}")
     return QuboInstance(
         g.n,
         h=-np.ones(g.n),

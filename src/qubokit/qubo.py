@@ -73,11 +73,11 @@ class QuboInstance:
         self.pair_j = np.array([p[1] for p in pairs], dtype=np.int64)
         self.pair_w = np.array([p[2] for p in pairs], dtype=np.float64)
 
-        # Adjacency in three layouts, each row in the same ascending order
-        # (pairs are sorted): python lists of (neighbor, w) for the scalar
-        # code paths, the padded arrays of padded_adjacency for the field
-        # gathers, and the compressed rows of _csr for SA's field updates.
-        # _degrees holds each row's length, the one record of it.
+        # Adjacency rows, each in ascending neighbor order (pairs are
+        # sorted), decided here once: python lists of (neighbor, w) for the
+        # scalar code paths, copied row for row into the padded arrays of
+        # padded_adjacency for the vectorized ones.  _degrees holds each
+        # row's length, the one record of it.
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
         for i, j, v in pairs:
             adj[i].append((j, v))
@@ -86,7 +86,6 @@ class QuboInstance:
         self._degrees = np.fromiter(map(len, adj), np.int64, self.n)
 
         self._padded_adj: tuple[np.ndarray, np.ndarray] | None = None
-        self._csr_adj: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -121,13 +120,15 @@ class QuboInstance:
             yield int(i), int(j), float(v)
 
     def degree(self, i: int) -> int:
+        self._check_index(i)
         return int(self._degrees[i])
 
     def padded_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (n, max_degree) neighbor-index and weight arrays.
 
-        Rows are padded with index 0 / weight 0.0, so padded entries
-        contribute nothing to field sums.  Built once and cached.
+        Row i holds q.adjacency[i] in order in its first degree(i) entries,
+        then padding of index 0 and weight 0.0, so readers may take a row's
+        real entries as a prefix or sum the whole row.  Built once and cached.
         """
         if self._padded_adj is None:
             dmax = int(self._degrees.max())
@@ -139,21 +140,6 @@ class QuboInstance:
                     wgt[i, : len(lst)] = [t[1] for t in lst]
             self._padded_adj = (idx, wgt)
         return self._padded_adj
-
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compressed rows (ptr, nbr, w): row i's neighbors and weights are
-        nbr[ptr[i]:ptr[i + 1]] and w[ptr[i]:ptr[i + 1]], in adjacency order.
-        A stable argsort by row of the couplings as (j, i) then (i, j) puts
-        each row's lower neighbors first, both halves ascending.  Built once
-        and cached."""
-        if self._csr_adj is None:
-            order = np.argsort(np.concatenate([self.pair_j, self.pair_i]), kind="stable")
-            nbr = np.concatenate([self.pair_i, self.pair_j])[order]
-            w = np.concatenate([self.pair_w, self.pair_w])[order]
-            ptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(self._degrees, out=ptr[1:])
-            self._csr_adj = (ptr, nbr, w)
-        return self._csr_adj
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuboInstance):

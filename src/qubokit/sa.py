@@ -169,6 +169,11 @@ def _make_sa_step(
     chain_rng is unused (kept so IBP and SA runs share the seed layout)."""
     states, energies, rngs = ens.states, ens.energies, ens.rngs
     h, n, deg = q.h, q.n, q._degrees
+    # The padded rows, flattened: row i's real entries, in adjacency order,
+    # end just before flat index row_end[i].
+    idx, wgt = q.padded_adjacency()
+    row_end = np.arange(n) * idx.shape[1] + deg
+    nbr, wgt = idx.reshape(-1), wgt.reshape(-1)
 
     def sweep(lo: int, hi: int, beta: float) -> None:
         nb = hi - lo
@@ -201,8 +206,6 @@ def _make_sa_step(
         rep = np.repeat(rows, lens)
         flat = site * nb + rep
         eb = energies[lo:hi]
-        ptr, nbr, wgt = q._csr()
-        row_end = ptr[1:]
         with np.errstate(over="ignore"):
             for k in range(bounds.shape[0] - 1):
                 sl = slice(off[k], off[k + 1])

@@ -289,6 +289,18 @@ class TestErrors:
         assert err.count("\n") == 1
         assert out == ""
 
+    @pytest.mark.parametrize("penalty", ["nan", "inf"])
+    def test_non_finite_penalty_exits_1(self, tmp_path, capsys, penalty):
+        path = tmp_path / "bad.qubo"
+        code, out, err = run_cli(
+            capsys, "gen", "--class", "mis", "--n", "5", "--p", "0.5",
+            "--penalty", penalty, "-o", str(path),
+        )
+        assert code == 1
+        assert "penalty" in err
+        assert out == ""
+        assert not path.exists()
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "x.qubo", "--frobnicate")
         assert code == 1

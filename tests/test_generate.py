@@ -91,10 +91,11 @@ class TestMis:
         assert list(q.h) == [-1.0, -1.0, -1.0]
         assert list(q.couplings()) == [(0, 1, 2.0)]
 
-    def test_penalty_validation(self):
+    @pytest.mark.parametrize("penalty", [1.0, float("nan"), float("inf")])
+    def test_penalty_validation(self, penalty):
         g = RandomGraph(2, ((0, 1),))
         with pytest.raises(ValueError):
-            mis_to_qubo(g, penalty=1.0)
+            mis_to_qubo(g, penalty=penalty)
 
     def test_clique_minimum(self):
         # complete graph: the largest independent set is a single node

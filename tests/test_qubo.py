@@ -49,6 +49,9 @@ class TestConstruction:
         assert q.adjacency[1] == [(0, 2.0), (2, -1.0)]
         assert q.degree(1) == 2
         assert q.degree(0) == 1
+        for i in (-1, 3):
+            with pytest.raises(ValueError):
+                q.degree(i)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(2, 12))
@@ -67,6 +70,16 @@ class TestConstruction:
             nbrs = [k for k, _ in row]
             assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
             assert row == sorted(want)
+        # the padded rows: each adjacency row in order, then zero padding,
+        # as wide as the largest row
+        idx, wgt = q.padded_adjacency()
+        assert idx.shape == wgt.shape == (n, max(map(len, q.adjacency)))
+        for i, row in enumerate(q.adjacency):
+            deg = len(row)
+            assert idx[i, :deg].tolist() == [k for k, _ in row]
+            assert wgt[i, :deg].tolist() == [w for _, w in row]
+            assert not idx[i, deg:].any()
+            assert not wgt[i, deg:].any()
 
     def test_padded_adjacency(self):
         q = QuboInstance(3, couplings={(0, 1): 2.0, (1, 2): -1.0})
