@@ -18,9 +18,9 @@ run_schedule raises NumericError as soon as any cached replica energy is not
 finite, after initialization or after any step, rather than recording NaN
 or infinite checkpoints.
 
-Thread parallelism chunks the replica axis.  Every replica owns its RNG
-stream and all arithmetic is row-local, so results are byte-identical for
-any thread count.
+Threads chunk the replica axis of IBP's moves; SA sweeps on the calling
+thread (see sa.py).  Each replica owns its RNG stream and all arithmetic is
+row-local, so results are byte-identical for any thread count.
 """
 
 from __future__ import annotations

@@ -66,7 +66,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--checkpoints", type=int, default=100,
                        help="target number of checkpoints over the budget")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="threads over IBP's replica axis; SA sweeps on one")
         p.add_argument("--csv", help="checkpoint CSV path")
 
     solve = sub.add_parser("solve", help="run one solver on an instance")

@@ -34,8 +34,9 @@ replica in the block with one set of numpy operations, about 67 and 100
 rounds on MIS ER(500, 0.02) and ER(2000, 0.003).  No site's field changes
 while its run is processed.  Both loops add each accepted d to the cached
 energy in visiting order and each field update in adjacency order, so
-states and cached energies are bit-identical for any block width and any
-thread count.
+states and cached energies are bit-identical for any block width.  Every
+block sweeps on the calling thread: a round's numpy calls, on a few
+thousand elements each, ran slower on two threads than on one under the GIL.
 """
 
 from __future__ import annotations
@@ -165,8 +166,9 @@ def _make_sa_step(
     chain_rng: np.random.Generator,
     run_chunks: ChunkRunner,
 ) -> StepFn:
-    """Sweeps over the replica axis in blocks; see the module docstring.
-    chain_rng is unused (kept so IBP and SA runs share the seed layout)."""
+    """Sweeps over the replica axis in blocks on the calling thread; see the
+    module docstring.  chain_rng and run_chunks are unused (kept so IBP and
+    SA runs share the seed layout and the make_step signature)."""
     states, energies, rngs = ens.states, ens.energies, ens.rngs
     h, n, deg = q.h, q.n, q._degrees
     # The padded rows, flattened: row i's real entries, in adjacency order,
@@ -239,11 +241,8 @@ def _make_sa_step(
         states[lo:hi] = xt.T
 
     def step(beta: float) -> int:
-        def work(lo: int, hi: int) -> None:
-            for b in range(lo, hi, _BLOCK):
-                sweep(b, min(b + _BLOCK, hi), beta)
-
-        run_chunks(work)
+        for lo in range(0, ens.r, _BLOCK):
+            sweep(lo, min(lo + _BLOCK, ens.r), beta)
         return n
 
     return step
@@ -259,8 +258,8 @@ def sa_run(
     budget: int | None = None,
     threads: int = 1,
 ) -> RunTrace:
-    """Mirror of ibp_run with one sweep per schedule entry; spin updates
-    count n per sweep per replica."""
+    """Mirror of ibp_run with one sweep per schedule entry, all on the calling
+    thread whatever threads is; spin updates count n per sweep per replica."""
     return run_schedule(
         q, r, schedule, seed, checkpoint_every, _make_sa_step,
         budget=budget, threads=threads,

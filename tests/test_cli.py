@@ -391,6 +391,14 @@ class TestErrors:
         assert [str(w.message) for w in caught] == []
         assert json.loads(out)["best_energy"] <= -1.0
 
+    @pytest.mark.parametrize("algo", ["ibp", "sa"])
+    def test_zero_threads_exits_1(self, instance_path, capsys, algo):
+        code, out, err = run_cli(capsys, "solve", instance_path, "--algo", algo,
+                                 "--threads", "0")
+        assert code == 1
+        assert "thread count" in err
+        assert out == ""
+
     def test_bad_replica_count_exits_1(self, instance_path, capsys):
         code, _, _ = run_cli(capsys, "solve", instance_path, "-R", "0")
         assert code == 1

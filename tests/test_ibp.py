@@ -233,6 +233,11 @@ class TestIbpRun:
             assert other.checkpoints == base.checkpoints
             assert np.array_equal(other.final_states, base.final_states)
 
+    def test_thread_count_validated(self):
+        q = QuboInstance(2, h=[0.0, 0.0], couplings={(0, 1): 1.0})
+        with pytest.raises(ValueError, match="thread count"):
+            ibp_run(q, 4, AnnealSchedule(np.full(3, 1.0)), 0, threads=0)
+
     @HUB
     @pytest.mark.parametrize("r, threads", [(1, 1), (1, 2), (70, 1), (70, 2)])
     def test_gather_block_cap_does_not_change_trace(self, monkeypatch, hub, r, threads):

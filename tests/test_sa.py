@@ -1,5 +1,7 @@
 """Tests for the simulated-annealing baseline."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from qubokit import (
     sa_sweep,
     total_variation,
 )
+from qubokit import sa
 from qubokit.oracle import state_index
 from qubokit.qubo import energy, energy_batch
 from qubokit.sa import _run_bounds
@@ -189,6 +192,27 @@ class TestSaRun:
                 other = sa_run(q, 8, sched, seed=3, threads=t)
                 assert other.checkpoints == base.checkpoints
                 assert np.array_equal(other.final_states, base.final_states)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweeps_run_on_the_calling_thread(self, monkeypatch, threads):
+        # a round's numpy calls are too small to overlap under the GIL, so
+        # every block sweeps on the caller's thread; R = 65 is a 64-replica
+        # block and a one-replica block
+        seen = {"_run_bounds": [], "_sweep_one": []}
+        for name, calls in seen.items():
+            def record(*args, fn=getattr(sa, name), calls=calls):
+                calls.append(threading.current_thread())
+                return fn(*args)
+
+            monkeypatch.setattr(sa, name, record)
+        sa_run(_with_hub(), 65, AnnealSchedule(np.full(3, 1.0)), 0, threads=threads)
+        caller = threading.current_thread()
+        assert seen == {"_run_bounds": [caller] * 3, "_sweep_one": [caller] * 3}
+
+    def test_thread_count_validated(self):
+        q = QuboInstance(2, h=[0.0, 0.0], couplings={(0, 1): 1.0})
+        with pytest.raises(ValueError, match="thread count"):
+            sa_run(q, 4, AnnealSchedule(np.full(3, 1.0)), 0, threads=0)
 
     def test_finds_mis_optimum_on_five_cycle(self):
         g = RandomGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
