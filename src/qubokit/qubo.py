@@ -86,6 +86,7 @@ class QuboInstance:
         self._degrees = np.fromiter(map(len, adj), np.int64, self.n)
 
         self._padded_adj: tuple[np.ndarray, np.ndarray] | None = None
+        self._colour_classes: list[np.ndarray] | None = None
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -127,19 +128,39 @@ class QuboInstance:
         """Dense (n, max_degree) neighbor-index and weight arrays.
 
         Row i holds q.adjacency[i] in order in its first degree(i) entries,
-        then padding of index 0 and weight 0.0, so readers may take a row's
-        real entries as a prefix or sum the whole row.  Built once and cached.
+        then padding of index 0 and weight -0.0, so readers may take a row's
+        real entries as a prefix or sum the whole row: adding -0.0 leaves
+        every sum as it was, the sign of a zero included.  Built once and
+        cached.
         """
         if self._padded_adj is None:
             dmax = int(self._degrees.max())
             idx = np.zeros((self.n, dmax), dtype=np.int64)
-            wgt = np.zeros((self.n, dmax), dtype=np.float64)
+            wgt = np.full((self.n, dmax), -0.0)
             for i, lst in enumerate(self.adjacency):
                 if lst:
                     idx[i, : len(lst)] = [t[0] for t in lst]
                     wgt[i, : len(lst)] = [t[1] for t in lst]
             self._padded_adj = (idx, wgt)
         return self._padded_adj
+
+    def colour_classes(self) -> list[np.ndarray]:
+        """Greedy colouring of the coupling graph: sites by decreasing
+        degree, ties by index, each taking the least class no neighbour has
+        taken.  Returns the classes' sites, each ascending; no coupling joins
+        two sites of one class.  Built once and cached."""
+        if self._colour_classes is None:
+            colour = [-1] * self.n
+            for i in np.argsort(-self._degrees, kind="stable").tolist():
+                taken = {colour[j] for j, _ in self.adjacency[i]}
+                c = 0
+                while c in taken:
+                    c += 1
+                colour[i] = c
+            colours = np.array(colour)
+            order = np.argsort(colours, kind="stable")
+            self._colour_classes = np.split(order, np.cumsum(np.bincount(colours))[:-1])
+        return self._colour_classes
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuboInstance):

@@ -1,42 +1,33 @@
 """Simulated-annealing baseline with Metropolis single-spin updates.
 
-`sa_sweep` is the per-sweep reference: one replica visits all n sites in a
-fresh random permutation and flips each with probability
-min(1, e^(-beta*d)).  `sa_run` drives a kernel that makes the same draws
-and the same decisions for all replicas, in blocks of at most 64.
+A sweep visits the classes of QuboInstance.colour_classes() in order, each
+class's sites in ascending order: the fixed-order scan of Isakov,
+Zintchenko, Ronnow and Troyer, "Optimised simulated annealing for Ising
+spin glasses", CPC 192, 265 (2015), over classes of sites no coupling
+joins, which generalises the checkerboard update of Preis, Virnau, Paul
+and Schneider, J. Comput. Phys. 228, 4468 (2009) to any graph.  No site's
+field depends on another site of its class, so updating a whole class at
+once is a product of exact single-site Metropolis updates, each of which
+leaves the Boltzmann law stationary.
 
-Cached local fields, after Isakov, Zintchenko, Ronnow and Troyer,
-"Optimised simulated annealing for Ising spin glasses", CPC 192, 265
-(2015): at the start of each sweep a block builds the coupling part
-G = W x of its fields once, by treebp._frozen_fields summed from 0.0.
-Flipping site i changes the energy by d = +-(h[i] + G[i]), read in O(1);
-an accepted flip adds +-w to its neighbours' G in adjacency order, in
-O(degree).  h stays out of the running sums, where a large coupling would
-absorb it: with h = -1 and a coupling of 1e307, G returns to 0.0 exactly
-once that neighbour flips back, where h + W x would lose the -1.
+`sa_sweep` is the scalar twin: one replica, site by site on python lists,
+each field h_i + sum of w * x_j added in adjacency order.  `sa_run` drives
+the kernel, one vectorized pass per class over all replicas at once: it
+gathers the class's fields fresh by treebp._frozen_fields, decides every
+flip, flips the accepted bits and adds the accepted changes to the cached
+energies.  Kernel and twin make the same draws, the same decisions and the
+same sums in the same order, so states and cached energies agree bit for
+bit; the kernel runs on the calling thread for every R.
 
-Accept rule: a sweep draws a permutation and then n uniforms u from the
-replica's stream, and takes -log(u) once for all n sites; site t's flip is
-accepted where beta * max(d, 0) < -log(u[t]), so no site needs an exp.
-That is u < e^(-beta*d) up to rounding at the boundary, except at u = 0
-exactly, where -log(u) = inf accepts any flip whose beta * d is finite.
-As beta > 0 and -log(u) > 0 for every u < 1, the loops test
-beta * d < -log(u[t]), the same decision without the max.  beta * d
+Accept rule: a sweep draws n uniforms u from the replica's stream and takes
+-log(u) once; the site visited t-th is flipped where beta * d < -log(u[t]),
+d = (1 - 2 x_i) * (h_i + sum of w * x_j), so no site needs an exp.  That is
+u < e^(-beta*d) up to rounding at the boundary, except at u = 0 exactly,
+where -log(u) = inf accepts any flip whose beta * d is finite; as -log(u) > 0
+for every u < 1, the test beta * max(d, 0) < -log(u) needs no max.  beta * d
 overflows to +-inf on a steep flip, which decides it correctly, so numpy
-need not warn.
-
-Two loops, one per block shape.  A block of one replica runs _sweep_one,
-the loop `sa_sweep` runs after building G from x: site by site on python
-lists.  Wider blocks are run-batched: each replica's permutation is cut
-greedily into maximal runs, stretches of consecutive positions in which no
-two sites share a coupling, and round k of a sweep resamples run k of every
-replica in the block with one set of numpy operations, about 67 and 100
-rounds on MIS ER(500, 0.02) and ER(2000, 0.003).  No site's field changes
-while its run is processed.  Both loops add each accepted d to the cached
-energy in visiting order and each field update in adjacency order, so
-states and cached energies are bit-identical for any block width.  Every
-block sweeps on the calling thread: a round's numpy calls, on a few
-thousand elements each, ran slower on two threads than on one under the GIL.
+need not warn.  Each class's accepted changes are summed in site order,
+from -0.0, and that sum is added to the cached energy.
 """
 
 from __future__ import annotations
@@ -52,7 +43,7 @@ from .anneal import (
     run_schedule,
 )
 from .qubo import QuboInstance, _check_beta
-from .treebp import _frozen_fields
+from .treebp import _frozen_fields, _sum_rows
 
 
 def _thresholds(u: np.ndarray) -> np.ndarray:
@@ -62,38 +53,28 @@ def _thresholds(u: np.ndarray) -> np.ndarray:
     return np.negative(u, out=u)
 
 
-def _coupling_fields(q: QuboInstance, xt: np.ndarray) -> np.ndarray:
-    """(n, R) fields W x, summed from 0.0, of the position-major states xt."""
-    idx, wgt = q.padded_adjacency()
-    return _frozen_fields(np.zeros((q.n, 1)), q._degrees, idx, wgt, xt)
-
-
-def _sweep_one(
+def _scalar_sweep(
     q: QuboInstance, x: np.ndarray, e: float, beta: float, rng: np.random.Generator
 ) -> tuple[float, int]:
-    """One replica's sweep, site by site on python lists, of its state row x
-    (updated in place) with cached energy e; returns e plus each accepted
-    change, in visiting order, and the accepted count.  Python floats
-    overflow to inf without a warning."""
-    sites = rng.permutation(q.n).tolist()
-    thr = _thresholds(rng.random(q.n)).tolist()
-    g = _coupling_fields(q, x[:, None]).ravel().tolist()
+    """sa_sweep on the state row x (updated in place) with cached energy e;
+    returns e plus each class's sum of accepted changes, and the accepted
+    count.  Python floats overflow to inf without a warning."""
+    thr = iter(_thresholds(rng.random(q.n)).tolist())
     h, adj, xs = q.h.tolist(), q.adjacency, x.tolist()
     accepted = 0
-    for i, t in zip(sites, thr):
-        d = h[i] + g[i]
-        if xs[i]:
-            d = -d
-        if beta * d < t:
-            xs[i] ^= 1
-            e += d
-            accepted += 1
+    for sites in q.colour_classes():
+        de = -0.0
+        for i in sites.tolist():
+            d = h[i]
+            for j, w in adj[i]:
+                d += w * xs[j]
             if xs[i]:
-                for j, w in adj[i]:
-                    g[j] += w
-            else:
-                for j, w in adj[i]:
-                    g[j] -= w
+                d = -d
+            if beta * d < next(thr):
+                xs[i] ^= 1
+                de += d
+                accepted += 1
+        e += de
     x[:] = xs
     return e, accepted
 
@@ -101,63 +82,15 @@ def _sweep_one(
 def sa_sweep(
     q: QuboInstance, x: np.ndarray, beta: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """One sweep: visit all n variables in a fresh random permutation and
-    flip each with probability min(1, e^(-beta*d)), by the accept rule of
-    the module docstring.
+    """One sweep: visit all n variables, class by class in the colour order
+    of the module docstring, and flip each with probability
+    min(1, e^(-beta*d)), by its accept rule.
 
     Mutates x in place; returns (x, accepted count).  Counts as n spin
     updates (attempts) regardless of acceptance.
     """
     _check_beta(beta)
-    return x, _sweep_one(q, x, 0.0, beta, rng)[1]
-
-
-# Replicas swept together; bounds the kernel's working set.
-_BLOCK = 64
-# (coupling, replica) entries placed at once by _run_bounds.
-_SEG_ENTRIES = 1 << 14
-
-
-def _run_bounds(perms: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
-    """Cut each replica's visiting order into greedy maximal runs of
-    mutually uncoupled sites.
-
-    perms[b] is the order in which replica b visits the n sites.  Returns a
-    (K + 1, B) array of run starts whose last row is n: run k of replica b
-    covers positions [bounds[k, b], bounds[k + 1, b]), and is empty once
-    replica b has no runs left.
-    """
-    nb, n = perms.shape
-    cols = np.arange(nb, dtype=np.int32)
-    # Position-major throughout, so that gathers copy whole rows.
-    # pos[i, b]: the position at which replica b visits site i.
-    pos = np.empty((n, nb), dtype=np.int32)
-    pos[perms, cols[:, None]] = np.arange(n, dtype=np.int32)
-    # first[v, b]: the least later endpoint over couplings whose earlier
-    # endpoint is at position v, n where there is none (row n stays n).
-    first = np.full((n + 1, nb), n, dtype=np.int32)
-    chunk = max(1, _SEG_ENTRIES // nb)
-    for lo in range(0, pair_i.size, chunk):
-        a = pos[pair_i[lo : lo + chunk]]
-        b = pos[pair_j[lo : lo + chunk]]
-        cell = np.minimum(a, b)
-        cell *= nb
-        cell += cols
-        np.minimum.at(first.reshape(-1), cell.reshape(-1), np.maximum(a, b).reshape(-1))
-    # A run starting at v ends just before the least later endpoint of the
-    # couplings that start at v or after: the suffix minimum of first.
-    # As cell indices v * nb + b, each run start jumps to the next one, and
-    # the end cell n * nb + b to itself.
-    jump = np.minimum.accumulate(first[::-1], axis=0)[::-1] * nb
-    jump += cols
-    jump = jump.reshape(-1)
-    done = jump[-nb:].tobytes()
-    cur = cols
-    starts = [cur]
-    while cur.tobytes() != done:
-        cur = jump[cur]
-        starts.append(cur)
-    return np.stack(starts) // nb
+    return x, _scalar_sweep(q, x, 0.0, beta, rng)[1]
 
 
 def _make_sa_step(
@@ -166,84 +99,50 @@ def _make_sa_step(
     chain_rng: np.random.Generator,
     run_chunks: ChunkRunner,
 ) -> StepFn:
-    """Sweeps over the replica axis in blocks on the calling thread; see the
-    module docstring.  chain_rng and run_chunks are unused (kept so IBP and
-    SA runs share the seed layout and the make_step signature)."""
+    """Sweeps all replicas at once on the calling thread; see the module
+    docstring.  chain_rng and run_chunks are unused (kept so IBP and SA
+    runs share the seed layout and the make_step signature)."""
     states, energies, rngs = ens.states, ens.energies, ens.rngs
-    h, n, deg = q.h, q.n, q._degrees
-    # The padded rows, flattened: row i's real entries, in adjacency order,
-    # end just before flat index row_end[i].
+    # The sites class by class: the states' positions during a sweep, in
+    # which each class's bits, thresholds and rows are one slice.  The rows
+    # of padded_adjacency() give each neighbour as its position; a class's
+    # rows are cut to the widest of them and copied in Fortran order, since
+    # _frozen_fields reads them transposed.  Built per run, not cached with
+    # the colouring: a cached copy took 108 KB per random ER(300, 0.05)
+    # instance beside its 134 KB of padded rows.
+    classes = q.colour_classes()
+    order = np.concatenate(classes)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(q.n)
     idx, wgt = q.padded_adjacency()
-    row_end = np.arange(n) * idx.shape[1] + deg
-    nbr, wgt = idx.reshape(-1), wgt.reshape(-1)
-
-    def sweep(lo: int, hi: int, beta: float) -> None:
-        nb = hi - lo
-        if nb == 1:
-            energies[lo], _ = _sweep_one(q, states[lo], float(energies[lo]), beta, rngs[lo])
-            return
-        # Position-major (n, nb) bits and coupling fields, both indexed by
-        # the flat element site * nb + replica; the fields first, before the
-        # sweep's index arrays exist, to keep the peak low.
-        xt = states[lo:hi].T.copy()
-        g = _coupling_fields(q, xt).reshape(-1)
-        xf = xt.reshape(-1)
-        perms = np.stack([rngs[r].permutation(n) for r in range(lo, hi)], dtype=np.int32)
-        thr = np.empty((nb, n))
-        for k in range(nb):
-            rngs[lo + k].random(out=thr[k])
-        _thresholds(thr)
-        bounds = _run_bounds(perms, q.pair_i, q.pair_j)
-        # Elements (replica, position) in round-major order, each round in
-        # (replica, position) order: round k is elements off[k]:off[k + 1].
-        off = bounds.sum(axis=1)
-        lens = np.diff(bounds, axis=0).ravel()
-        rows = np.tile(np.arange(nb, dtype=np.int32), bounds.shape[0] - 1)
-        run_cell = bounds[:-1].ravel() + rows * n
-        cell = np.repeat(run_cell - np.cumsum(lens, dtype=np.int32) + lens, lens)
-        cell += np.arange(nb * n, dtype=np.int32)
-        site = perms.reshape(-1)[cell]
-        thr = thr.reshape(-1)[cell]
-        del perms, cell  # freed before the rounds, to keep the peak low
-        rep = np.repeat(rows, lens)
-        flat = site * nb + rep
-        eb = energies[lo:hi]
-        with np.errstate(over="ignore"):
-            for k in range(bounds.shape[0] - 1):
-                sl = slice(off[k], off[k + 1])
-                fi = flat[sl]
-                s = site[sl]
-                xs = xf[fi]
-                # d = (1 - 2 x_i) * (h_i + G_i), that is +-(h_i + G_i).
-                d = h[s]
-                d += g[fi]
-                np.negative(d, out=d, where=xs.view(bool))
-                acc = np.less(beta * d, thr[sl])
-                xf[fi] = xs ^ acc
-                a = np.flatnonzero(acc)
-                if not a.size:
-                    continue
-                s, r = s[a], rep[sl][a]
-                # Unbuffered and in element order: each replica's changes are
-                # added in its visiting order, as _sweep_one adds them.
-                np.add.at(eb, r, d[a])
-                # Field updates: every accepted site's row in adjacency
-                # order, +w where the new bit is 1, -w where it is 0.
-                cnt = deg[s]
-                end = np.cumsum(cnt)
-                start = row_end[s]
-                start -= end
-                pos = np.repeat(start, cnt)
-                pos += np.arange(end[-1])
-                val = wgt[pos]
-                np.negative(val, out=val, where=np.repeat(xs[a].view(bool), cnt))
-                np.add.at(g, nbr[pos] * nb + np.repeat(r, cnt), val)
-        states[lo:hi] = xt.T
+    idx, wgt, h, deg = pos[idx[order]], wgt[order], q.h[order, None], q._degrees[order]
+    ends = np.cumsum([c.size for c in classes]).tolist()
+    starts = [0, *ends[:-1]]
+    passes = [
+        (lo, hi, h[lo:hi], deg[lo:hi],
+         np.asfortranarray(idx[lo:hi, :w]), np.asfortranarray(wgt[lo:hi, :w]))
+        for lo, hi, w in zip(starts, ends, np.maximum.reduceat(deg, starts).tolist())
+    ]
+    u = np.empty((ens.r, q.n))
 
     def step(beta: float) -> int:
-        for lo in range(0, ens.r, _BLOCK):
-            sweep(lo, min(lo + _BLOCK, ens.r), beta)
-        return n
+        for k, rng in enumerate(rngs):
+            rng.random(out=u[k])
+        # Position-major (n, R) thresholds and bits, both C-ordered so that
+        # every (m, R) array of a pass is, and its sums over the class run
+        # site by site rather than pairwise.
+        thr = _thresholds(u).T.copy()
+        xo = states.T[order]
+        with np.errstate(over="ignore"):
+            for lo, hi, hbase, cdeg, cidx, cwgt in passes:
+                xs = xo[lo:hi]
+                d = _frozen_fields(hbase, cdeg, cidx, cwgt, xo)
+                np.negative(d, out=d, where=xs.view(bool))
+                acc = np.less(beta * d, thr[lo:hi])
+                xs ^= acc
+                np.add(energies, _sum_rows(np.where(acc, d, -0.0)), out=energies)
+        states[:, order] = xo.T
+        return q.n
 
     return step
 
@@ -258,8 +157,9 @@ def sa_run(
     budget: int | None = None,
     threads: int = 1,
 ) -> RunTrace:
-    """Mirror of ibp_run with one sweep per schedule entry, all on the calling
-    thread whatever threads is; spin updates count n per sweep per replica."""
+    """Mirror of ibp_run with one sweep per schedule entry, all replicas at
+    once on the calling thread whatever threads is (it is still validated);
+    spin updates count n per sweep per replica."""
     return run_schedule(
         q, r, schedule, seed, checkpoint_every, _make_sa_step,
         budget=budget, threads=threads,

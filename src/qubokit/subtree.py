@@ -210,7 +210,7 @@ def frozen_neighbor_arrays(
     q.padded_adjacency(), cut to W, the largest degree among the nodes.
     Over states with the tree's bits set to 0 they sum to
     build_tree_problem's fields.  A row's real entries come first and its
-    padding weights are 0, so the IBP kernel can skip a row past its
+    padding weights are -0.0, so the IBP kernel can skip a row past its
     degree."""
     pidx, pwgt = q.padded_adjacency()
     nodes = np.asarray(tree.nodes)

@@ -163,11 +163,10 @@ class TestSolve:
 
 class TestGoldenCsv:
     # sha256 of the checkpoint CSV of one seeded run per solver: any change
-    # to a seeded trajectory or to the CSV bytes changes them.  R = 70 spans
-    # two 64-replica SA blocks.  Looked up by algo, so that the test ids do
-    # not change when a digest is re-recorded.
+    # to a seeded trajectory or to the CSV bytes changes them.  Looked up by
+    # algo, so that the test ids do not change when a digest is re-recorded.
     DIGESTS = {
-        "sa": "5e1c7f0677c7f021d953d69b02281eb3040cb49e2b3868a5cbc859ce7f5fe1ff",
+        "sa": "6ffe49bdd7bf8a70ed58c90810d314016aa9addd971f8c31c54ddd5751412206",
         "ibp": "c8a6fb8bb066e1b2ba947f13679d22cc67ada71641e590b476087779a1c1133c",
     }
 

@@ -24,7 +24,6 @@ from qubokit import (
 from qubokit import sa
 from qubokit.oracle import state_index
 from qubokit.qubo import energy, energy_batch
-from qubokit.sa import _run_bounds
 
 
 class TestSaSweep:
@@ -125,35 +124,46 @@ def _huge_couplings() -> QuboInstance:
 
 
 def _reference_states(q, r, sweeps, beta, seed):
-    """sa_sweep over each replica's stream, as sa_run seeds them; returns the
-    final states and the best energy recomputed after every sweep."""
+    """The twin over each replica's stream, as sa_run seeds them; returns the
+    final states and cached energies, and the best energy recomputed after
+    every sweep."""
     root = np.random.SeedSequence(seed)
     root.spawn(1)  # run_schedule reserves the first child for its chain rng
     ens = ReplicaEnsemble.initialize(q, r, root)
-    best = float(ens.energies.min())
+    energies = ens.energies.tolist()
+    best = min(energies)
     for _ in range(sweeps):
         for k in range(r):
-            sa_sweep(q, ens.states[k], beta, ens.rngs[k])
+            energies[k], _ = sa._scalar_sweep(q, ens.states[k], energies[k], beta, ens.rngs[k])
         best = min(best, float(energy_batch(q, ens.states).min()))
-    return ens.states, best
+    return ens.states, np.array(energies), best
+
+
+def _assert_matches_reference(q, r, sweeps, beta, seed, threads=1):
+    states, energies, best = _reference_states(q, r, sweeps, beta, seed)
+    trace = sa_run(q, r, AnnealSchedule(np.full(sweeps, beta)), seed, threads=threads)
+    assert np.array_equal(trace.final_states, states)
+    # the cached energies, bit for bit, through the final checkpoint
+    final = trace.checkpoints[-1]
+    assert [final.median, final.p01] == np.percentile(energies, [50.0, 1.0]).tolist()
+    assert final.best == min(trace.checkpoints[-2].best, energies.min())
+    return trace, best
 
 
 class TestSaRun:
     @pytest.mark.parametrize(
         "make_q", [_with_isolated_variables, _without_couplings, _with_hub]
     )
-    # 65 is a 64-replica block and a one-replica block, 70 two wide blocks
+    # R = 1 sums each class's changes by np.add.accumulate, other R by
+    # np.add.reduce; 65 and 70 are counts of no special shape
     @pytest.mark.parametrize("r", [1, 6, 65, 70])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_matches_scalar_reference_exactly(self, make_q, r, threads):
-        # the kernel consumes the same per-replica streams as sa_sweep and
-        # updates the same cached fields in the same order, so trajectories
-        # agree bit for bit, whatever the block widths
+        # the kernel consumes the same per-replica streams as the twin and
+        # sums the same fields and energy changes in the same order, so
+        # trajectories agree bit for bit
         q = make_q()
-        sweeps, beta, seed = 120, 1.1, 5
-        states, best = _reference_states(q, r, sweeps, beta, seed)
-        trace = sa_run(q, r, AnnealSchedule(np.full(sweeps, beta)), seed, threads=threads)
-        assert np.array_equal(trace.final_states, states)
+        trace, best = _assert_matches_reference(q, r, 120, 1.1, 5, threads)
         assert trace.best_energy == pytest.approx(best, abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -164,11 +174,26 @@ class TestSaRun:
     def test_overflow_matches_scalar_reference(self, make_q, beta):
         # beta * d overflows to +-inf in both loops, a rejection or an
         # acceptance as the sign says, and numpy warns of nothing (a warning
-        # fails the suite); R = 65 runs a wide and a one-replica block
-        q = make_q()
-        states, _ = _reference_states(q, 65, 30, beta, 2)
-        trace = sa_run(q, 65, AnnealSchedule(np.full(30, beta)), 2)
-        assert np.array_equal(trace.final_states, states)
+        # fails the suite)
+        for r in (1, 6, 65, 70):
+            _assert_matches_reference(make_q(), r, 30, beta, 2)
+
+    def test_stationary_at_fixed_beta(self):
+        # the scan is deterministic, so each class pass must be an exact
+        # Metropolis update on its own: 20000 replicas of a loopy 6-variable
+        # instance with couplings of both signs (3 classes) after 100 sweeps
+        # at beta = 1 follow the exact Boltzmann law within total variation
+        # 0.05.  20000 independent draws from that law give about 0.02, and
+        # updating all 6 sites at once as one class gives about 0.63
+        q = random_sparse_qubo(gen_er_graph(6, 0.6, 1), 1)
+        assert len(q.colour_classes()) >= 3 and q.num_couplings > q.n
+        beta, r = 1.0, 20_000
+        trace = sa_run(q, r, AnnealSchedule(np.full(100, beta)), 4)
+        counts = np.bincount(
+            [state_index(x) for x in trace.final_states], minlength=1 << q.n
+        )
+        dist = boltzmann_distribution(q, beta)
+        assert total_variation(counts / r, dist.probabilities) < 0.05
 
     def test_energy_cache_tracks_sweeps(self):
         q = random_sparse_qubo(gen_er_graph(25, 0.2, 2), 3)
@@ -183,7 +208,7 @@ class TestSaRun:
         assert trace.checkpoints[-1].spin_updates == 9 * 17
 
     def test_thread_count_does_not_change_trace(self):
-        # 8 threads give one-replica blocks, 2 threads 4-replica blocks
+        # threads is validated and otherwise unused by SA
         plain = random_sparse_qubo(gen_er_graph(30, 0.12, 6), 7)
         sched = geometric_schedule(0.3, 4.0, 40)
         for q in (plain, _with_hub()):
@@ -195,19 +220,18 @@ class TestSaRun:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sweeps_run_on_the_calling_thread(self, monkeypatch, threads):
-        # a round's numpy calls are too small to overlap under the GIL, so
-        # every block sweeps on the caller's thread; R = 65 is a 64-replica
-        # block and a one-replica block
-        seen = {"_run_bounds": [], "_sweep_one": []}
-        for name, calls in seen.items():
-            def record(*args, fn=getattr(sa, name), calls=calls):
-                calls.append(threading.current_thread())
-                return fn(*args)
+        # SA hands nothing to the replica pool: each sweep makes one pass
+        # per class, every one on the thread that called sa_run
+        calls = []
 
-            monkeypatch.setattr(sa, name, record)
-        sa_run(_with_hub(), 65, AnnealSchedule(np.full(3, 1.0)), 0, threads=threads)
-        caller = threading.current_thread()
-        assert seen == {"_run_bounds": [caller] * 3, "_sweep_one": [caller] * 3}
+        def record(*args, fn=sa._frozen_fields):
+            calls.append(threading.current_thread())
+            return fn(*args)
+
+        monkeypatch.setattr(sa, "_frozen_fields", record)
+        q = _with_hub()
+        sa_run(q, 65, AnnealSchedule(np.full(3, 1.0)), 0, threads=threads)
+        assert calls == [threading.current_thread()] * (3 * len(q.colour_classes()))
 
     def test_thread_count_validated(self):
         q = QuboInstance(2, h=[0.0, 0.0], couplings={(0, 1): 1.0})
@@ -223,51 +247,32 @@ class TestSaRun:
 
 
 @st.composite
-def _graph_and_orders(draw):
+def _instances(draw):
     n = draw(st.integers(1, 24))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    b = draw(st.integers(1, 5))
-    perms = np.stack([draw(st.permutations(range(n))) for _ in range(b)])
-    return n, edges, perms
+    weights = draw(st.lists(st.sampled_from([-2.0, -0.5, 1.0, 3.0]),
+                            min_size=len(edges), max_size=len(edges)))
+    return QuboInstance(n, h=np.zeros(n), couplings=dict(zip(edges, weights)))
 
 
-class TestRunBounds:
+class TestColourClasses:
     @settings(max_examples=200, deadline=None)
-    @given(_graph_and_orders())
-    def test_greedy_maximal_runs_of_uncoupled_sites(self, case):
-        n, edges, perms = case
-        pi = np.array([e[0] for e in edges], dtype=np.int64)
-        pj = np.array([e[1] for e in edges], dtype=np.int64)
-        bounds = _run_bounds(perms, pi, pj)
-        assert bounds.shape[1] == perms.shape[0]
-        assert (bounds[0] == 0).all() and (bounds[-1] == n).all()
-        assert (bounds[-2] < n).any()  # no round is empty for every replica
-        coupled = {frozenset(e) for e in edges}
-        for b, perm in enumerate(perms.tolist()):
-            starts = bounds[:, b].tolist()
-            # contiguous, nonempty runs covering each position once
-            runs = [(s, e) for s, e in zip(starts, starts[1:]) if s < e]
-            assert runs[0][0] == 0 and runs[-1][1] == n
-            assert all(e == s2 for (_, e), (s2, _) in zip(runs, runs[1:]))
-            assert all(s < n for s in starts[: len(runs)])
-            for k, (s, e) in enumerate(runs):
-                sites = perm[s:e]
-                # no coupled pair inside a run
-                assert not any(
-                    frozenset((u, v)) in coupled for u in sites for v in sites if u < v
-                )
-                # greedy: a run ends where its next site is coupled to it
-                if k > 0:
-                    prev = perm[runs[k - 1][0] : s]
-                    assert any(frozenset((perm[s], v)) in coupled for v in prev)
+    @given(_instances())
+    def test_greedy_colouring(self, q):
+        classes = q.colour_classes()
+        order = np.concatenate(classes)
+        assert sorted(order.tolist()) == list(range(q.n))  # each site once
+        cls = np.empty(q.n, dtype=int)
+        for k, sites in enumerate(classes):
+            cls[sites] = k
+            assert sites.tolist() == sorted(sites.tolist())
+            # greedy: a site of class k has a neighbour in every lower class
+            for i in sites.tolist():
+                assert {int(cls[j]) for j, _ in q.adjacency[i]} >= set(range(k))
+        assert not (cls[q.pair_i] == cls[q.pair_j]).any()  # no coupling inside
+        again = QuboInstance(q.n, h=q.h, couplings={(i, j): w for i, j, w in q.couplings()})
+        assert [c.tolist() for c in again.colour_classes()] == [c.tolist() for c in classes]
 
-    def test_chunked_placement_matches_one_pass(self, monkeypatch):
-        # 8 replicas of ER(200, 0.05): about 8000 (coupling, replica)
-        # entries, placed in one pass and in chunks of 2 couplings
-        q = random_sparse_qubo(gen_er_graph(200, 0.05, 9), 9)
-        rng = np.random.default_rng(9)
-        perms = np.stack([rng.permutation(q.n) for _ in range(8)])
-        whole = _run_bounds(perms, q.pair_i, q.pair_j)
-        monkeypatch.setattr("qubokit.sa._SEG_ENTRIES", 16)
-        assert np.array_equal(_run_bounds(perms, q.pair_i, q.pair_j), whole)
+    def test_hub_alone_in_class_zero(self):
+        assert _with_hub().colour_classes()[0].tolist() == [0]
