@@ -106,7 +106,7 @@ class ReplicaEnsemble:
             raise ValueError(f"replica count must be >= 1, got {r}")
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         rngs = [np.random.default_rng(s) for s in ss.spawn(r)]
-        states = np.stack([rng.random(q.n) < 0.5 for rng in rngs]).astype(np.uint8)
+        states = np.stack([rng.random(q.n) < 0.5 for rng in rngs]).view(np.uint8)
         return cls(states, energy_batch(q, states), rngs)
 
 

@@ -29,39 +29,73 @@ class RandomGraph:
 
     n: int
     edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    # the edges' ends as two int64 arrays, edge order
+    _ends: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        seen: set[tuple[int, int]] = set()
-        for i, j in self.edges:
-            _add_edge(self.n, i, j, seen)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        try:
+            e = np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
+            lo, hi = e.min(axis=1), e.max(axis=1)
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+            repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+            if ((lo < 0) | (hi >= self.n) | (lo == hi)).any() or repeat.any():
+                raise ValueError("faulty edge")
+        except (TypeError, ValueError, OverflowError):
+            seen: set[tuple[int, int]] = set()
+            for i, j in self.edges:  # raises for the first faulty edge
+                _add_edge(self.n, i, j, seen)
+            raise
+        self._set_edges(lo, hi)
+
+    def _set_edges(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist())))
+        object.__setattr__(self, "_ends", (lo, hi))
+
+    @classmethod
+    def _sorted(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "RandomGraph":
+        """The graph on these edges, unchecked: lo < hi, sorted, no repeats."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        g._set_edges(lo, hi)
+        return g
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        lo, hi = self._ends
+        return np.bincount(np.concatenate((lo, hi)), minlength=self.n)
+
+
+# Uniforms drawn per call by gen_er_graph: bounds its temporary arrays.
+_DRAW_BLOCK = 1 << 18
 
 
 def gen_er_graph(n: int, p: float, seed: int) -> RandomGraph:
-    """G(n, p): each of the n(n-1)/2 pairs kept independently with probability p."""
+    """G(n, p): each of the n(n-1)/2 pairs kept independently with probability p.
+
+    The pairs take one uniform each from the seed's stream, row by row
+    ((0, 1), (0, 2), ..., (1, 2), ...); they are drawn in blocks of at most
+    _DRAW_BLOCK, which take the same values from the stream as one call.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n - 1):
-        hits = np.nonzero(rng.random(n - 1 - i) < p)[0]
-        edges.extend((i, i + 1 + int(j)) for j in hits)
-    return RandomGraph(n, tuple(edges))
+    total = n * (n - 1) // 2
+    hits = [lo + np.flatnonzero(rng.random(min(_DRAW_BLOCK, total - lo)) < p)
+            for lo in range(0, total, _DRAW_BLOCK)]
+    k = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
+    # row i's pairs (i, i+1), ..., (i, n-1) start at flat index start[i]
+    rows = np.arange(n, dtype=np.int64)
+    start = rows * (n - 1) - rows * (rows - 1) // 2
+    i = np.searchsorted(start, k, side="right") - 1
+    return RandomGraph._sorted(n, i, k - start[i] + i + 1)
 
 
 def maxcut_to_qubo(g: RandomGraph) -> QuboInstance:
@@ -70,12 +104,9 @@ def maxcut_to_qubo(g: RandomGraph) -> QuboInstance:
     cut(x) = sum_{(i,j) in E} (x_i + x_j - 2 x_i x_j) gives h[i] = -deg(i)
     and w[i,j] = 2 on every edge.
     """
-    deg = g.degrees()
-    return QuboInstance(
-        g.n,
-        h=-deg.astype(np.float64),
-        couplings={e: 2.0 for e in g.edges},
-    )
+    lo, hi = g._ends
+    return QuboInstance._from_pairs(
+        g.n, -g.degrees().astype(np.float64), lo, hi, np.full(lo.size, 2.0))
 
 
 def mis_to_qubo(g: RandomGraph, penalty: float = 2.0) -> QuboInstance:
@@ -87,11 +118,9 @@ def mis_to_qubo(g: RandomGraph, penalty: float = 2.0) -> QuboInstance:
     """
     if not (math.isfinite(penalty) and penalty > 1.0):
         raise ValueError(f"penalty must be finite and > 1 for a sound encoding, got {penalty}")
-    return QuboInstance(
-        g.n,
-        h=-np.ones(g.n),
-        couplings={e: float(penalty) for e in g.edges},
-    )
+    lo, hi = g._ends
+    return QuboInstance._from_pairs(
+        g.n, -np.ones(g.n), lo, hi, np.full(lo.size, float(penalty)))
 
 
 def random_sparse_qubo(g: RandomGraph, seed: int) -> QuboInstance:
@@ -101,14 +130,15 @@ def random_sparse_qubo(g: RandomGraph, seed: int) -> QuboInstance:
     edge set.  Couplings are drawn first (edge order), then the n fields.
     """
     rng = np.random.default_rng(seed)
-    couplings = {}
-    for e in g.edges:
-        w = rng.uniform(-1.0, 1.0)
-        while w == 0.0:
-            w = rng.uniform(-1.0, 1.0)
-        couplings[e] = w
+    lo, hi = g._ends
+    # The couplings are the stream's first nonzero draws, one per edge.
+    w = rng.uniform(-1.0, 1.0, lo.size)
+    w = w[w != 0.0]
+    while w.size < lo.size:
+        more = rng.uniform(-1.0, 1.0, lo.size - w.size)
+        w = np.concatenate((w, more[more != 0.0]))
     h = rng.uniform(-1.0, 1.0, g.n)
-    return QuboInstance(g.n, h=h, couplings=couplings)
+    return QuboInstance._from_pairs(g.n, h, lo, hi, w)
 
 
 # ----------------------------------------------------------------------
@@ -124,9 +154,9 @@ def save_graph(g: RandomGraph) -> str:
 
 def load_graph(text: str) -> RandomGraph:
     """Parse the edge-list format; raises ParseError with line numbers."""
-    n, records = _read_records(text, "graph <n> <m>", "i j")
+    n, _, walk = _read_records(text, "graph <n> <m>", "i j")
     seen: set[tuple[int, int]] = set()
-    for lineno, fields in records:
+    for lineno, fields in walk():
         try:
             i, j = int(fields[0]), int(fields[1])
         except ValueError:

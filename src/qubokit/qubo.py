@@ -56,37 +56,88 @@ class QuboInstance:
                 raise ValueError(f"h has shape {arr.shape}, expected ({self.n},)")
             self.h[:] = arr
 
-        # Canonicalise couplings: unordered keys merged by summation (so both
-        # Q[i,j] and Q[j,i] may be supplied), sorted by (i, j), zeros dropped.
-        merged: dict[tuple[int, int], float] = {}
-        for (i, j), v in (couplings or {}).items():
-            i, j = int(i), int(j)
-            self._check_index(i)
-            self._check_index(j)
-            if i == j:
-                raise ValueError(f"self-coupling ({i},{j}); diagonal terms belong in h")
-            key = (i, j) if i < j else (j, i)
-            merged[key] = merged.get(key, 0.0) + float(v)
+        self._build(self.h, *self._canonical_couplings(couplings or {}))
 
-        pairs = sorted((i, j, v) for (i, j), v in merged.items() if v != 0.0)
-        self.pair_i = np.array([p[0] for p in pairs], dtype=np.int64)
-        self.pair_j = np.array([p[1] for p in pairs], dtype=np.int64)
-        self.pair_w = np.array([p[2] for p in pairs], dtype=np.float64)
+    @classmethod
+    def _from_pairs(
+        cls, n: int, h: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, pair_w: np.ndarray
+    ) -> "QuboInstance":
+        """The instance holding these arrays, unchecked and uncopied: h of
+        shape (n,), pairs i < j sorted by (i, j) without repeats, no zero
+        weight.  The encoders, the loader and from_matrix build their
+        arrays so."""
+        q = cls.__new__(cls)
+        q.n = int(n)
+        q._build(h, pair_i, pair_j, pair_w)
+        return q
 
-        # Adjacency rows, each in ascending neighbor order (pairs are
-        # sorted), decided here once: python lists of (neighbor, w) for the
-        # scalar code paths, copied row for row into the padded arrays of
-        # padded_adjacency for the vectorized ones.  _degrees holds each
-        # row's length, the one record of it.
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for i, j, v in pairs:
-            adj[i].append((j, v))
-            adj[j].append((i, v))
-        self.adjacency = adj
-        self._degrees = np.fromiter(map(len, adj), np.int64, self.n)
+    def _canonical_couplings(
+        self, couplings: Mapping[tuple[int, int], float]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unordered keys merged by summation (so both Q[i,j] and Q[j,i] may
+        be supplied), sorted by (i, j), zeros dropped.  On a faulty item the
+        checks run item by item, in the mapping's order, and raise for the
+        first."""
+        try:
+            keys = np.array([(int(i), int(j)) for i, j in couplings], dtype=np.int64)
+            keys = keys.reshape(len(couplings), 2)
+            vals = np.fromiter(map(float, couplings.values()), np.float64, len(couplings))
+            lo, hi = keys.min(axis=1), keys.max(axis=1)
+            if ((lo < 0) | (hi >= self.n) | (lo == hi)).any():
+                raise ValueError("faulty coupling key")
+        except (TypeError, ValueError, OverflowError):
+            for (i, j), v in couplings.items():
+                i, j = int(i), int(j)
+                self._check_index(i)
+                self._check_index(j)
+                if i == j:
+                    raise ValueError(f"self-coupling ({i},{j}); diagonal terms belong in h")
+                float(v)
+            raise
+        if not vals.size:
+            return lo, hi, vals
+        # the sort is stable, so a key's two values are summed in the
+        # mapping's order
+        order = np.lexsort((hi, lo))
+        lo, hi, vals = lo[order], hi[order], vals[order]
+        first = np.flatnonzero((np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0))
+        w = np.add.reduceat(vals, first)
+        keep = w != 0.0
+        return lo[first[keep]], hi[first[keep]], w[keep]
+
+    def _build(
+        self, h: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, pair_w: np.ndarray
+    ) -> None:
+        self.h, self.pair_i, self.pair_j, self.pair_w = h, pair_i, pair_j, pair_w
+        # Adjacency rows, each in ascending neighbor order, decided here
+        # once: python lists of (neighbor, w) for the scalar code paths,
+        # copied row for row into the padded arrays of padded_adjacency for
+        # the vectorized ones.  _degrees holds each row's length, the one
+        # record of it.  The rows share one int object per variable and one
+        # float per coupling, and are made in row order, so they lie
+        # together in memory.
+        nbr, coupling = self._directed()
+        self._degrees = np.bincount(np.concatenate((pair_i, pair_j)), minlength=self.n)
+        ints, floats = list(range(self.n)), pair_w.tolist()
+        entries = list(zip(map(ints.__getitem__, nbr.tolist()),
+                           map(floats.__getitem__, coupling.tolist())))
+        ends = np.cumsum(self._degrees).tolist()
+        self.adjacency: list[list[tuple[int, float]]] = [
+            entries[a:b] for a, b in zip([0] + ends, ends)
+        ]
 
         self._padded_adj: tuple[np.ndarray, np.ndarray] | None = None
         self._colour_classes: list[np.ndarray] | None = None
+
+    def _directed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each coupling once from either end, in adjacency order: the
+        neighbour and the coupling's index of every entry, by row and then
+        by neighbour.  With the pairs sorted by (i, j), a stable sort by row
+        puts row u's pairs (i, u), ascending in i < u, before its pairs
+        (u, j), ascending in j > u."""
+        order = np.argsort(np.concatenate((self.pair_j, self.pair_i)), kind="stable")
+        nbr = np.concatenate((self.pair_i, self.pair_j))[order]
+        return nbr, order % max(self.pair_w.size, 1)
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -99,13 +150,11 @@ class QuboInstance:
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be a square 2-D array")
         n = Q.shape[0]
-        couplings = {
-            (i, j): Q[i, j] + Q[j, i]
-            for i in range(n)
-            for j in range(i + 1, n)
-            if Q[i, j] + Q[j, i] != 0.0
-        }
-        return cls(n, h=np.diag(Q).copy(), couplings=couplings)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        w = np.triu(Q + Q.T, 1)
+        i, j = np.nonzero(w)  # row by row: sorted by (i, j)
+        return cls._from_pairs(n, np.diag(Q).copy(), i, j, w[i, j])
 
     # ------------------------------------------------------------------
     # Accessors
@@ -134,13 +183,14 @@ class QuboInstance:
         cached.
         """
         if self._padded_adj is None:
-            dmax = int(self._degrees.max())
-            idx = np.zeros((self.n, dmax), dtype=np.int64)
-            wgt = np.full((self.n, dmax), -0.0)
-            for i, lst in enumerate(self.adjacency):
-                if lst:
-                    idx[i, : len(lst)] = [t[0] for t in lst]
-                    wgt[i, : len(lst)] = [t[1] for t in lst]
+            nbr, coupling = self._directed()
+            deg = self._degrees
+            rows = np.repeat(np.arange(self.n), deg)
+            cols = np.arange(nbr.size) - np.repeat(np.cumsum(deg) - deg, deg)
+            idx = np.zeros((self.n, int(deg.max())), dtype=np.int64)
+            wgt = np.full(idx.shape, -0.0)
+            idx[rows, cols] = nbr
+            wgt[rows, cols] = self.pair_w[coupling]
             self._padded_adj = (idx, wgt)
         return self._padded_adj
 
@@ -199,22 +249,30 @@ def energy(q: QuboInstance, x) -> float:
 
 
 def energy_batch(q: QuboInstance, states: np.ndarray) -> np.ndarray:
-    """Energies of a (R, n) batch of binary assignments."""
+    """Energies of a (R, n) batch of binary assignments; ValueError for a
+    state with a value other than 0 or 1."""
     X = np.asarray(states, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != q.n:
         raise ValueError(f"states have shape {X.shape}, expected (R, {q.n})")
+    bits = X == 1.0
+    if np.count_nonzero(bits) != np.count_nonzero(X):
+        raise ValueError("states must be binary (0 or 1)")
     e = X @ q.h
     if q.pair_w.size:
-        # The (R, n_pairs) pair products are filled in row blocks of about
-        # 2**16 entries, so the gathered operands never exist in full, and
-        # then go through one matrix-vector product.  Splitting that product
-        # by rows, or storing it in C order rather than in the Fortran order
-        # that column gathers produce, changes its rounding in BLAS.
-        prod = np.empty((X.shape[0], q.pair_w.size), order="F")
-        rows = max(1, (1 << 16) // q.pair_w.size)
-        for lo in range(0, X.shape[0], rows):
-            xb = X[lo : lo + rows]
-            np.multiply(xb[:, q.pair_i], xb[:, q.pair_j], out=prod[lo : lo + rows])
+        # The (R, n_pairs) pair products go through one matrix-vector
+        # product.  Splitting that product by rows, or storing it in C order
+        # rather than in the Fortran order that column gathers produce,
+        # changes its rounding in BLAS.  Its columns are filled in blocks
+        # of about 2**16 entries from the position-major bits, whose rows
+        # are the replicas' values of one variable.
+        xt = np.ascontiguousarray(bits.T).view(np.uint8)
+        del X, bits  # the products read only xt
+        prod = np.empty((e.size, q.pair_w.size), order="F")
+        step = max(1, (1 << 16) // max(e.size, 1))
+        for lo in range(0, q.pair_w.size, step):
+            hi = lo + step
+            np.multiply(xt.take(q.pair_i[lo:hi], 0), xt.take(q.pair_j[lo:hi], 0),
+                        out=prod[:, lo:hi].T)
         e += prod @ q.pair_w
     return e
 
@@ -249,29 +307,42 @@ def delta_energy(q: QuboInstance, x, i: int) -> float:
 def _read_records(text: str, header: str, record: str):
     """The rules both text formats share: blank and '#' lines are skipped;
     a header like 'qubo <n> <nnz>' gives n and the record count; each record
-    has as many fields as the template record, e.g. 'i j v'.  Returns n and
-    an iterator of (line number, fields) per record.  Faults raise ParseError
-    on their line as the iterator reaches them, so a loader that checks each
-    record as it comes reports the first fault in the file.
+    has as many fields as the template record, e.g. 'i j v'.
+
+    Returns n, the records' fields column by column (tuples of strings, or
+    None when the record count or a record's width is wrong), and a function
+    that walks the records as (line number, fields).  The walk raises
+    ParseError on a faulty line as it reaches it, so a loader that checks
+    each record as it comes reports the first fault in the file.  A loader
+    that checks the columns in bulk walks the records only when its checks
+    fail, and so reports the same fault.
     """
-    stripped = enumerate(map(str.strip, text.splitlines()), start=1)
-    lines = ((k, line) for k, line in stripped if line and not line.startswith("#"))
-    head, line = next(lines, (1, ""))
-    if not line:
-        raise ParseError(head, "missing header line")
+    stripped = list(map(str.strip, text.splitlines()))
+    head = next((k for k, line in enumerate(stripped) if line and line[0] != "#"), None)
+    if head is None:
+        raise ParseError(1, "missing header line")
+    line = stripped[head]
     fields = line.split()
     if len(fields) != 3 or fields[0] != header.split()[0]:
-        raise ParseError(head, f"expected header {header!r}, got {line!r}")
+        raise ParseError(head + 1, f"expected header {header!r}, got {line!r}")
     try:
         n, count = int(fields[1]), int(fields[2])
     except ValueError:
-        raise ParseError(head, f"non-integer header fields in {line!r}") from None
+        raise ParseError(head + 1, f"non-integer header fields in {line!r}") from None
     if n < 1 or count < 0:
-        raise ParseError(head, f"invalid header values in {line!r}")
+        raise ParseError(head + 1, f"invalid header values in {line!r}")
 
-    def records():
-        width, found = len(record.split()), 0
-        for lineno, line in lines:
+    width = len(record.split())
+    rows = [line.split() for line in stripped[head + 1 :] if line and line[0] != "#"]
+    columns = None
+    if len(rows) == count and {width}.issuperset(map(len, rows)):
+        columns = list(zip(*rows)) if rows else [()] * width
+
+    def walk():
+        found = 0
+        for lineno, line in enumerate(stripped[head + 1 :], start=head + 2):
+            if not line or line[0] == "#":
+                continue
             if found == count:
                 raise ParseError(lineno, f"extra record {line!r}; header declared {count}")
             fields = line.split()
@@ -280,24 +351,54 @@ def _read_records(text: str, header: str, record: str):
             found += 1
             yield lineno, fields
         if found != count:
-            raise ParseError(head, f"header declared {count} records, found {found}")
+            raise ParseError(head + 1, f"header declared {count} records, found {found}")
 
-    return n, records()
+    return n, columns, walk
 
 
 def save_instance(q: QuboInstance) -> str:
     """Serialise to the text instance format (entries sorted by (i, j))."""
-    entries = [(i, i, float(q.h[i])) for i in range(q.n) if q.h[i] != 0.0]
-    entries.extend(q.couplings())
-    entries.sort()
-    lines = [f"qubo {q.n} {len(entries)}"]
-    lines.extend(f"{i} {j} {v!r}" for i, j, v in entries)
+    d = np.flatnonzero(q.h)
+    rows, cols = np.concatenate((d, q.pair_i)), np.concatenate((d, q.pair_j))
+    vals = np.concatenate((q.h[d], q.pair_w))
+    order = np.lexsort((cols, rows))
+    lines = [f"qubo {q.n} {vals.size}"]
+    lines.extend(f"{i} {j} {v!r}" for i, j, v in zip(
+        rows[order].tolist(), cols[order].tolist(), vals[order].tolist()))
     return "\n".join(lines) + "\n"
 
 
 def load_instance(text: str) -> QuboInstance:
-    """Parse the text instance format; raises ParseError with line numbers."""
-    n, records = _read_records(text, "qubo <n> <nnz>", "i j v")
+    """Parse the text instance format; raises ParseError with line numbers.
+
+    The columns are converted and checked in bulk; when a check fails, the
+    records are read again one by one (_load_records), which raises on the
+    first faulty line."""
+    n, columns, walk = _read_records(text, "qubo <n> <nnz>", "i j v")
+    if columns is not None:
+        try:
+            i = np.fromiter(map(int, columns[0]), np.int64, len(columns[0]))
+            j = np.fromiter(map(int, columns[1]), np.int64, len(columns[1]))
+            v = np.fromiter(map(float, columns[2]), np.float64, len(columns[2]))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            order = np.lexsort((j, i))
+            i, j, v = i[order], j[order], v[order]
+            repeat = (i[1:] == i[:-1]) & (j[1:] == j[:-1])
+            if not (((i < 0) | (j >= n) | (i > j)).any() or repeat.any()
+                    or not np.isfinite(v).all()):
+                h = np.zeros(n)
+                diag = i == j
+                h[i[diag]] = v[diag]
+                keep = ~diag & (v != 0.0)
+                return QuboInstance._from_pairs(n, h, i[keep], j[keep], v[keep])
+    return _load_records(n, walk())
+
+
+def _load_records(n: int, records) -> QuboInstance:
+    """The instance of records (line number, fields), checked record by
+    record: raises ParseError on the first faulty one."""
     entries: dict[tuple[int, int], float] = {}
     for lineno, fields in records:
         try:

@@ -1,5 +1,8 @@
 """Tests for graph and instance generators."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -10,11 +13,14 @@ from qubokit import (
     energy,
     gen_er_graph,
     load_graph,
+    load_instance,
     maxcut_to_qubo,
     mis_to_qubo,
     random_sparse_qubo,
     save_graph,
+    save_instance,
 )
+from qubokit.cli import main
 
 
 class TestRandomGraph:
@@ -34,6 +40,17 @@ class TestRandomGraph:
             RandomGraph(2, ((0, 2),))
         with pytest.raises(ValueError):
             RandomGraph(3, ((0, 1), (1, 0)))
+
+    def test_first_faulty_edge_reported(self):
+        cases = [
+            (((0, 1), (2, 5), (1, 1), (1, 0)), "edge (2,5) out of range"),
+            (((0, 1), (1, 1), (2, 5), (1, 0)), "self-loop at node 1"),
+            (((0, 1), (2, 1), (1, 0), (1, 1)), "duplicate edge (0,1)"),
+            (((0, 2**70),), f"edge (0,{2**70}) out of range"),
+        ]
+        for edges, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                RandomGraph(4, edges)
 
 
 class TestErGraph:
@@ -133,6 +150,37 @@ class TestRandomSparse:
         g = RandomGraph(100_000)
         q = random_sparse_qubo(g, 0)
         assert abs(q.h.mean()) < 0.02
+
+
+class TestGoldenText:
+    # sha256 of the instance text `qubokit gen` writes: any change to the
+    # graph draws, the encoders' coefficients and draws, or the text format
+    # changes them.  n = 2500 has 3123750 vertex pairs, so the edge draws
+    # run in several blocks.
+    DIGESTS = {
+        ("mis", "40", "0.2", "3"):
+            "0d19cadaeed1a42065fd2aceb7fb64ef89ca2ca1e8918ec6ea8a22a96a220c63",
+        ("mis", "2500", "0.004", "11"):
+            "d0c06605d4dc7d2feca9c881efe0fc459d692a45c5c832fec9ff09c89cad8969",
+        ("maxcut", "40", "0.2", "3"):
+            "2f79f17c696a3c681fe30e8141bb5f227eac9cbedeaa61c99522ef05180bc02e",
+        ("maxcut", "2500", "0.004", "11"):
+            "452412dd29ecef9c02363b855d2719a99a6fc0b58cb2fb58a4385d84f2419b71",
+        ("random", "40", "0.2", "3"):
+            "6a1010efbf30e57bfbf93913f4d87be859100287272f1080180803ba2897d42c",
+        ("random", "2500", "0.004", "11"):
+            "5881700343ff17383cb37748a86187bc03bfdb35c4f9ce2fc03b3ffa9c6edbb2",
+    }
+
+    @pytest.mark.parametrize("key", list(DIGESTS), ids="-".join)
+    def test_gen_text_digest(self, tmp_path, capsys, key):
+        cls, n, p, seed = key
+        path = tmp_path / "g.qubo"
+        assert main(["gen", "--class", cls, "--n", n, "--p", p, "--seed", seed,
+                     "-o", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[key]
+        assert save_instance(load_instance(text)) == text
 
 
 class TestGraphFile:

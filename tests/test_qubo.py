@@ -1,5 +1,7 @@
 """Tests for QUBO instance construction, energy evaluation, and file I/O."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,41 @@ class TestConstruction:
         assert list(q.h) == [1.0, -1.0, 0.0]
         assert list(q.couplings()) == [(0, 1, 3.0), (1, 2, 0.5)]
 
+    def test_from_matrix_matches_pairwise_sums(self):
+        # the couplings are the upper triangle of Q + Q^T: entries that
+        # cancel (Q[i,j] = -Q[j,i]) leave no coupling, and a -0.0 on the
+        # diagonal stays in h
+        Q = np.array([[-0.0, 1.5, -2.0], [-1.5, 2.0, 0.25], [0.5, 0.0, -0.0]])
+        q = QuboInstance.from_matrix(Q)
+        assert q.h.tobytes() == np.array([-0.0, 2.0, -0.0]).tobytes()
+        assert list(q.couplings()) == [(0, 2, -1.5), (1, 2, 0.25)]
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(1, 8))
+            Q = rng.choice([-0.0, 0.0, 1.0, -1.0, 0.1, 1e308], size=(n, n))
+            Q[rng.random((n, n)) < 0.3] *= -1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = QuboInstance.from_matrix(Q)
+                pairwise = {(i, j): Q[i, j] + Q[j, i] for i in range(n) for j in range(i + 1, n)}
+            want = QuboInstance(n, h=np.diag(Q), couplings=pairwise)
+            assert q.h.tobytes() == want.h.tobytes()
+            assert q.pair_i.tobytes() == want.pair_i.tobytes()
+            assert q.pair_j.tobytes() == want.pair_j.tobytes()
+            assert q.pair_w.tobytes() == want.pair_w.tobytes()
+            assert q.adjacency == want.adjacency
+
+    def test_first_faulty_coupling_reported(self):
+        # the first faulty key in the mapping's order names the error
+        cases = [
+            ({(0, 1): 1.0, (0, 5): 1.0, (1, 1): 1.0}, "index 5 out of range"),
+            ({(0, 1): 1.0, (1, 1): 1.0, (0, 5): 1.0}, "self-coupling (1,1)"),
+            ({(2, 1): 1.0, (-1, 0): 1.0, (2, 2): 1.0}, "index -1 out of range"),
+            ({(0, 1): 1.0, (0, 2**70): 1.0}, f"index {2**70} out of range"),
+        ]
+        for couplings, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                QuboInstance(3, couplings=couplings)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             QuboInstance(0)
@@ -153,6 +190,20 @@ class TestEnergy:
             want = Xf @ q.h
             want += (Xf[:, q.pair_i] * Xf[:, q.pair_j]) @ q.pair_w
             assert np.array_equal(energy_batch(q, X), want)
+
+    def test_energy_batch_rejects_non_binary(self):
+        q = QuboInstance(3, h=[1.0, -2.0, 0.5], couplings={(0, 1): 1.5, (1, 2): -1.0})
+        X = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
+        for same in (X.astype(bool), X.astype(np.float64), X.astype(np.int64)):
+            assert np.array_equal(energy_batch(q, same), energy_batch(q, X))
+        for bad in (0.5, 2.0, -1.0, float("nan"), float("inf")):
+            Y = X.astype(np.float64)
+            Y[1, 2] = bad
+            with pytest.raises(ValueError, match="binary"):
+                energy_batch(q, Y)
+        with pytest.raises(ValueError, match="binary"):
+            energy_batch(q, np.array([[0, 2, 1]], dtype=np.uint8))
+        assert energy_batch(q, np.zeros((0, 3))).shape == (0,)
 
     def test_delta_energy_matches_flip(self):
         rng = np.random.default_rng(11)
@@ -250,6 +301,83 @@ class TestFileFormat:
             with pytest.raises(ParseError) as err:
                 load_instance(text)
             assert err.value.line == line, text
+
+    # one kind of fault per record line, and one per record count; each
+    # record fault's message names its kind
+    RECORD_FAULTS = {
+        "short": "expected 'i j v'",
+        "non-numeric": "malformed entry",
+        "out-of-range": "out of range",
+        "i>j": "entries require i <= j",
+        "non-finite": "non-finite value",
+        "duplicate": "duplicate entry",
+    }
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6))
+    def test_first_fault_reported(self, data, n):
+        """One or two faults at random lines of a valid text, with comments
+        and blank lines between the records: ParseError names the first
+        faulty line in the file, every record fault before a count fault."""
+        keys = [(i, j) for i in range(n) for j in range(i, n)]
+        chosen = data.draw(st.lists(st.sampled_from(keys), unique=True, min_size=3,
+                                    max_size=8))
+        value = st.sampled_from(["1.5", "-0.25", "1e-300", "-7.0", "3"])
+        records = [f"{i} {j} {data.draw(value)}" for i, j in chosen]
+        # a valid text in any record order loads as the reference reader
+        # builds it
+        valid = f"qubo {n} {len(records)}\n" + "\n".join(records) + "\n"
+        entries = {(i, j): float(r.split()[2]) for (i, j), r in zip(chosen, records)}
+        want = QuboInstance(n, h={i: v for (i, j), v in entries.items() if i == j},
+                            couplings={k: v for k, v in entries.items() if k[0] != k[1]})
+        assert load_instance(valid) == want
+
+        kinds = data.draw(st.lists(
+            st.sampled_from([*self.RECORD_FAULTS, "extra", "missing"]),
+            min_size=1, max_size=2,
+        ).filter(lambda ks: not {"extra", "missing"} <= set(ks)))
+        record_kinds = [k for k in kinds if k in self.RECORD_FAULTS]
+        # distinct records; a duplicate copies the key of an earlier record
+        targets = data.draw(st.lists(
+            st.integers(1 if "duplicate" in record_kinds else 0, len(records) - 1),
+            unique=True, min_size=len(record_kinds), max_size=len(record_kinds),
+        ))
+        for kind, k in zip(record_kinds, targets):
+            i, j = chosen[k]
+            draw = data.draw
+            records[k] = {
+                "short": lambda: f"{i} {j}",
+                "non-numeric": lambda: f"{i} {j} {draw(st.sampled_from(['x', '1.5.0', '--1']))}",
+                "out-of-range": lambda: f"{i} {draw(st.sampled_from([n, n + 3]))} 1.0",
+                "i>j": lambda: f"{max(i, j, 1)} {min(i, j) if i != j else 0} 1.0",
+                "non-finite": lambda: f"{i} {j} {draw(st.sampled_from(['nan', 'inf', '-inf']))}",
+                "duplicate": lambda: "{} {} 2.0".format(*chosen[draw(st.integers(0, k - 1))]),
+            }[kind]()
+        count = len(records) + ("missing" in kinds)
+        if "extra" in kinds:
+            records.append("0 0 1.0")
+
+        # the text's lines, comments and blank lines between the records,
+        # and the line number of each record
+        lines = [data.draw(st.sampled_from(["", "# c"])) for _ in range(data.draw(
+            st.integers(0, 2)))]
+        lines.append(f"qubo {n} {count}")
+        head = len(lines)
+        at = []
+        for r in records:
+            lines.extend(["", "# c"][: data.draw(st.integers(0, 2))])
+            lines.append(r)
+            at.append(len(lines))
+        text = "\n".join(lines) + "\n"
+
+        faults = [(at[k], self.RECORD_FAULTS[kind]) for kind, k in zip(record_kinds, targets)]
+        if "extra" in kinds:
+            faults.append((at[-1], "extra record"))
+        line, message = min(faults) if faults else (head, "header declared")
+        with pytest.raises(ParseError) as err:
+            load_instance(text)
+        assert err.value.line == line, text
+        assert message in str(err.value), text
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
