@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,19 +36,12 @@ class RandomGraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        try:
-            e = np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
-            lo, hi = e.min(axis=1), e.max(axis=1)
-            order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
-            repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-            if ((lo < 0) | (hi >= self.n) | (lo == hi)).any() or repeat.any():
-                raise ValueError("faulty edge")
-        except (TypeError, ValueError, OverflowError):
-            seen: set[tuple[int, int]] = set()
-            for i, j in self.edges:  # raises for the first faulty edge
-                _add_edge(self.n, i, j, seen)
-            raise
+        # operator.index: an edge's ends are integers, so the int64 ends
+        # below hold them exactly
+        seen: set[tuple[int, int]] = set()
+        for i, j in self.edges:
+            _add_edge(self.n, operator.index(i), operator.index(j), seen)
+        lo, hi = np.array(sorted(seen), dtype=np.int64).reshape(len(seen), 2).T.copy()
         self._set_edges(lo, hi)
 
     def _set_edges(self, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -154,7 +148,7 @@ def save_graph(g: RandomGraph) -> str:
 
 def load_graph(text: str) -> RandomGraph:
     """Parse the edge-list format; raises ParseError with line numbers."""
-    n, _, walk = _read_records(text, "graph <n> <m>", "i j")
+    n, _, _, walk = _read_records(text, "graph <n> <m>", "i j")
     seen: set[tuple[int, int]] = set()
     for lineno, fields in walk():
         try:

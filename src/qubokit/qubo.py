@@ -56,7 +56,25 @@ class QuboInstance:
                 raise ValueError(f"h has shape {arr.shape}, expected ({self.n},)")
             self.h[:] = arr
 
-        self._build(self.h, *self._canonical_couplings(couplings or {}))
+        # Canonicalise couplings: unordered keys merged by summation (so both
+        # Q[i,j] and Q[j,i] may be supplied), sorted by (i, j), zeros dropped.
+        merged: dict[tuple[int, int], float] = {}
+        for (i, j), v in (couplings or {}).items():
+            i, j = int(i), int(j)
+            self._check_index(i)
+            self._check_index(j)
+            if i == j:
+                raise ValueError(f"self-coupling ({i},{j}); diagonal terms belong in h")
+            key = (i, j) if i < j else (j, i)
+            merged[key] = merged.get(key, 0.0) + float(v)
+
+        pairs = sorted((i, j, v) for (i, j), v in merged.items() if v != 0.0)
+        self._build(
+            self.h,
+            np.array([p[0] for p in pairs], dtype=np.int64),
+            np.array([p[1] for p in pairs], dtype=np.int64),
+            np.array([p[2] for p in pairs], dtype=np.float64),
+        )
 
     @classmethod
     def _from_pairs(
@@ -70,40 +88,6 @@ class QuboInstance:
         q.n = int(n)
         q._build(h, pair_i, pair_j, pair_w)
         return q
-
-    def _canonical_couplings(
-        self, couplings: Mapping[tuple[int, int], float]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unordered keys merged by summation (so both Q[i,j] and Q[j,i] may
-        be supplied), sorted by (i, j), zeros dropped.  On a faulty item the
-        checks run item by item, in the mapping's order, and raise for the
-        first."""
-        try:
-            keys = np.array([(int(i), int(j)) for i, j in couplings], dtype=np.int64)
-            keys = keys.reshape(len(couplings), 2)
-            vals = np.fromiter(map(float, couplings.values()), np.float64, len(couplings))
-            lo, hi = keys.min(axis=1), keys.max(axis=1)
-            if ((lo < 0) | (hi >= self.n) | (lo == hi)).any():
-                raise ValueError("faulty coupling key")
-        except (TypeError, ValueError, OverflowError):
-            for (i, j), v in couplings.items():
-                i, j = int(i), int(j)
-                self._check_index(i)
-                self._check_index(j)
-                if i == j:
-                    raise ValueError(f"self-coupling ({i},{j}); diagonal terms belong in h")
-                float(v)
-            raise
-        if not vals.size:
-            return lo, hi, vals
-        # the sort is stable, so a key's two values are summed in the
-        # mapping's order
-        order = np.lexsort((hi, lo))
-        lo, hi, vals = lo[order], hi[order], vals[order]
-        first = np.flatnonzero((np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0))
-        w = np.add.reduceat(vals, first)
-        keep = w != 0.0
-        return lo[first[keep]], hi[first[keep]], w[keep]
 
     def _build(
         self, h: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, pair_w: np.ndarray
@@ -309,13 +293,11 @@ def _read_records(text: str, header: str, record: str):
     a header like 'qubo <n> <nnz>' gives n and the record count; each record
     has as many fields as the template record, e.g. 'i j v'.
 
-    Returns n, the records' fields column by column (tuples of strings, or
-    None when the record count or a record's width is wrong), and a function
-    that walks the records as (line number, fields).  The walk raises
-    ParseError on a faulty line as it reaches it, so a loader that checks
-    each record as it comes reports the first fault in the file.  A loader
-    that checks the columns in bulk walks the records only when its checks
-    fail, and so reports the same fault.
+    Returns n, the declared record count, each record's fields (its line
+    split once) and a function that walks the records as (line number,
+    fields).  The walk raises ParseError on a record of the wrong width, an
+    extra record or a missing one as it reaches it, so a loader that checks
+    each record as it comes reports the first fault in the file.
     """
     stripped = list(map(str.strip, text.splitlines()))
     head = next((k for k, line in enumerate(stripped) if line and line[0] != "#"), None)
@@ -332,28 +314,23 @@ def _read_records(text: str, header: str, record: str):
     if n < 1 or count < 0:
         raise ParseError(head + 1, f"invalid header values in {line!r}")
 
+    body = stripped[head + 1 :]
+    rows = [line.split() for line in body if line and line[0] != "#"]
     width = len(record.split())
-    rows = [line.split() for line in stripped[head + 1 :] if line and line[0] != "#"]
-    columns = None
-    if len(rows) == count and {width}.issuperset(map(len, rows)):
-        columns = list(zip(*rows)) if rows else [()] * width
 
     def walk():
-        found = 0
-        for lineno, line in enumerate(stripped[head + 1 :], start=head + 2):
-            if not line or line[0] == "#":
-                continue
+        linenos = (k for k, line in enumerate(body, start=head + 2) if line and line[0] != "#")
+        for found, (lineno, fields) in enumerate(zip(linenos, rows)):
             if found == count:
-                raise ParseError(lineno, f"extra record {line!r}; header declared {count}")
-            fields = line.split()
+                raise ParseError(
+                    lineno, f"extra record {stripped[lineno - 1]!r}; header declared {count}")
             if len(fields) != width:
-                raise ParseError(lineno, f"expected {record!r}, got {line!r}")
-            found += 1
+                raise ParseError(lineno, f"expected {record!r}, got {stripped[lineno - 1]!r}")
             yield lineno, fields
-        if found != count:
-            raise ParseError(head + 1, f"header declared {count} records, found {found}")
+        if len(rows) < count:
+            raise ParseError(head + 1, f"header declared {count} records, found {len(rows)}")
 
-    return n, columns, walk
+    return n, count, rows, walk
 
 
 def save_instance(q: QuboInstance) -> str:
@@ -374,12 +351,13 @@ def load_instance(text: str) -> QuboInstance:
     The columns are converted and checked in bulk; when a check fails, the
     records are read again one by one (_load_records), which raises on the
     first faulty line."""
-    n, columns, walk = _read_records(text, "qubo <n> <nnz>", "i j v")
-    if columns is not None:
+    n, count, rows, walk = _read_records(text, "qubo <n> <nnz>", "i j v")
+    if len(rows) == count and {3}.issuperset(map(len, rows)):
+        columns = list(zip(*rows)) or [()] * 3
         try:
-            i = np.fromiter(map(int, columns[0]), np.int64, len(columns[0]))
-            j = np.fromiter(map(int, columns[1]), np.int64, len(columns[1]))
-            v = np.fromiter(map(float, columns[2]), np.float64, len(columns[2]))
+            i = np.fromiter(map(int, columns[0]), np.int64, count)
+            j = np.fromiter(map(int, columns[1]), np.int64, count)
+            v = np.fromiter(map(float, columns[2]), np.float64, count)
         except (ValueError, OverflowError):
             pass
         else:
@@ -388,6 +366,7 @@ def load_instance(text: str) -> QuboInstance:
             repeat = (i[1:] == i[:-1]) & (j[1:] == j[:-1])
             if not (((i < 0) | (j >= n) | (i > j)).any() or repeat.any()
                     or not np.isfinite(v).all()):
+                del rows, columns, walk  # the instance is built from the arrays alone
                 h = np.zeros(n)
                 diag = i == j
                 h[i[diag]] = v[diag]

@@ -52,6 +52,15 @@ class TestRandomGraph:
             with pytest.raises(ValueError, match=re.escape(message)):
                 RandomGraph(4, edges)
 
+    def test_ends_must_be_integers(self):
+        # no end is truncated or parsed on the way to the int64 ends
+        for edges in (((0, 1.5),), ((0.2, 0.7),), (("0", "1"),)):
+            with pytest.raises(TypeError):
+                RandomGraph(4, edges)
+        g = RandomGraph(4, ((np.int64(2), np.int32(1)),))
+        assert g.edges == ((1, 2),)
+        assert g.degrees().tolist() == [0, 1, 1, 0]
+
 
 class TestErGraph:
     def test_deterministic(self):
