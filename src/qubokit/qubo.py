@@ -32,7 +32,10 @@ class QuboInstance:
     h[i] = Q[i,i] and w[i,j] = Q[i,j] + Q[j,i] (see :meth:`from_matrix`).
 
     Couplings with value exactly 0 are never stored.  Instances are
-    immutable after construction and safe to share across threads.
+    immutable after construction (their arrays are read-only) and safe to
+    share across threads: a layout built on first use is a pure function of
+    the arrays, so two threads that both build it make equal values, and one
+    assignment wins.
     """
 
     def __init__(
@@ -80,10 +83,10 @@ class QuboInstance:
     def _from_pairs(
         cls, n: int, h: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, pair_w: np.ndarray
     ) -> "QuboInstance":
-        """The instance holding these arrays, unchecked and uncopied: h of
-        shape (n,), pairs i < j sorted by (i, j) without repeats, no zero
-        weight.  The encoders, the loader and from_matrix build their
-        arrays so."""
+        """The instance holding these arrays, unchecked, uncopied and made
+        read-only: h of shape (n,), pairs i < j sorted by (i, j) without
+        repeats, no zero weight.  The encoders, the loader and from_matrix
+        build their arrays so."""
         q = cls.__new__(cls)
         q.n = int(n)
         q._build(h, pair_i, pair_j, pair_w)
@@ -93,25 +96,22 @@ class QuboInstance:
         self, h: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, pair_w: np.ndarray
     ) -> None:
         self.h, self.pair_i, self.pair_j, self.pair_w = h, pair_i, pair_j, pair_w
-        # Adjacency rows, each in ascending neighbor order, decided here
-        # once: python lists of (neighbor, w) for the scalar code paths,
-        # copied row for row into the padded arrays of padded_adjacency for
-        # the vectorized ones.  _degrees holds each row's length, the one
-        # record of it.  The rows share one int object per variable and one
-        # float per coupling, and are made in row order, so they lie
-        # together in memory.
-        nbr, coupling = self._directed()
+        for a in (h, pair_i, pair_j, pair_w):  # the cached layouts copy them
+            a.flags.writeable = False
+        # Neighbour rows of ints, each ascending, for the selection walk and
+        # the colouring, which read only the graph; _degrees holds each row's
+        # length.  The rows share one int object per variable.  The weighted
+        # layouts (adjacency, padded_adjacency) are built on first use.
         self._degrees = np.bincount(np.concatenate((pair_i, pair_j)), minlength=self.n)
-        ints, floats = list(range(self.n)), pair_w.tolist()
-        entries = list(zip(map(ints.__getitem__, nbr.tolist()),
-                           map(floats.__getitem__, coupling.tolist())))
+        ints = list(range(self.n))
+        entries = list(map(ints.__getitem__, self._directed()[0].tolist()))
         ends = np.cumsum(self._degrees).tolist()
-        self.adjacency: list[list[tuple[int, float]]] = [
-            entries[a:b] for a, b in zip([0] + ends, ends)
-        ]
+        self._nbrs = [entries[a:b] for a, b in zip([0] + ends, ends)]
 
+        self._adjacency: list[list[tuple[int, float]]] | None = None
         self._padded_adj: tuple[np.ndarray, np.ndarray] | None = None
         self._colour_classes: list[np.ndarray] | None = None
+        self._class_rows: tuple | None = None  # SA's, see sa._make_sa_step
 
     def _directed(self) -> tuple[np.ndarray, np.ndarray]:
         """Each coupling once from either end, in adjacency order: the
@@ -157,6 +157,16 @@ class QuboInstance:
         self._check_index(i)
         return int(self._degrees[i])
 
+    @property
+    def adjacency(self) -> list[list[tuple[int, float]]]:
+        """Row i: (neighbour, w) of i's couplings, ascending; cached on first use."""
+        if self._adjacency is None:
+            floats = self.pair_w.tolist()
+            ws = map(floats.__getitem__, self._directed()[1].tolist())
+            # zip ends a row before it draws a weight: the weights run on.
+            self._adjacency = [list(zip(row, ws)) for row in self._nbrs]
+        return self._adjacency
+
     def padded_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (n, max_degree) neighbor-index and weight arrays.
 
@@ -186,7 +196,7 @@ class QuboInstance:
         if self._colour_classes is None:
             colour = [-1] * self.n
             for i in np.argsort(-self._degrees, kind="stable").tolist():
-                taken = {colour[j] for j, _ in self.adjacency[i]}
+                taken = set(map(colour.__getitem__, self._nbrs[i]))
                 c = 0
                 while c in taken:
                     c += 1

@@ -107,22 +107,27 @@ def _make_sa_step(
     # which each class's bits, thresholds and rows are one slice.  The rows
     # of padded_adjacency() give each neighbour as its position; a class's
     # rows are cut to the widest of them and copied in Fortran order, since
-    # _frozen_fields reads them transposed.  Built per run, not cached with
-    # the colouring: a cached copy took 108 KB per random ER(300, 0.05)
-    # instance beside its 134 KB of padded rows.
-    classes = q.colour_classes()
-    order = np.concatenate(classes)
-    pos = np.empty_like(order)
-    pos[order] = np.arange(q.n)
-    idx, wgt = q.padded_adjacency()
-    idx, wgt, h, deg = pos[idx[order]], wgt[order], q.h[order, None], q._degrees[order]
-    ends = np.cumsum([c.size for c in classes]).tolist()
-    starts = [0, *ends[:-1]]
-    passes = [
-        (lo, hi, h[lo:hi], deg[lo:hi],
-         np.asfortranarray(idx[lo:hi, :w]), np.asfortranarray(wgt[lo:hi, :w]))
-        for lo, hi, w in zip(starts, ends, np.maximum.reduceat(deg, starts).tolist())
-    ]
+    # _frozen_fields reads them transposed.  They hold no run state, so they
+    # are built once per instance, cached on it beside colour_classes()
+    # (about 120 KB for random ER(300, 0.05)) and made read-only.
+    if q._class_rows is None:
+        classes = q.colour_classes()
+        order = np.concatenate(classes)
+        pos = np.empty_like(order)
+        pos[order] = np.arange(q.n)
+        idx, wgt = q.padded_adjacency()
+        idx, wgt, h, deg = pos[idx[order]], wgt[order], q.h[order, None], q._degrees[order]
+        ends = np.cumsum([c.size for c in classes]).tolist()
+        starts = [0, *ends[:-1]]
+        passes = [
+            (lo, hi, h[lo:hi], deg[lo:hi],
+             np.array(idx[lo:hi, :w], order="F"), np.array(wgt[lo:hi, :w], order="F"))
+            for lo, hi, w in zip(starts, ends, np.maximum.reduceat(deg, starts).tolist())
+        ]
+        for a in (order, *(x for p in passes for x in p[2:])):
+            a.flags.writeable = False
+        q._class_rows = (order, passes)
+    order, passes = q._class_rows
     u = np.empty((ens.r, q.n))
 
     def step(beta: float) -> int:

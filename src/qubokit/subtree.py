@@ -56,10 +56,18 @@ class SubTree:
             depth[p] = depth[parent[p]] + 1
 
     @classmethod
-    def _selected(cls, nodes, parent_pos, edge_w, depth: list[int]) -> SubTree:
+    def _selected(cls, q: QuboInstance, nodes, parent_pos, depth: list[int]) -> SubTree:
         tree = cls.__new__(cls)
-        tree.nodes, tree.parent_pos, tree.edge_w, tree._depth = (
-            nodes, np.array(parent_pos, dtype=np.int64), np.array(edge_w), depth)
+        tree.nodes, tree._depth, tree.edge_w = nodes, depth, np.zeros(len(nodes))
+        tree.parent_pos = np.array(parent_pos, dtype=np.int64)
+        # Each parent's padded row at its child's column, the first match:
+        # the padding (index 0) follows a row's real entries.
+        if len(nodes) > 1:
+            pidx, pwgt = q.padded_adjacency()
+            at = np.array(nodes)
+            up = at.take(tree.parent_pos[1:])
+            col = (pidx.take(up, 0) == at[1:, None]).argmax(1)
+            tree.edge_w[1:] = pwgt.take(up * pidx.shape[1] + col)
         return tree
 
     @property
@@ -129,11 +137,10 @@ def select_subtree(q: QuboInstance, rng: _Integers) -> SubTree:
     No pass checks the tree or finds its depths.  Positions come in level
     order, each level in join order, relabelled only if levels interleaved."""
     n = q.n
-    adjacency = q.adjacency
+    nbrs = q._nbrs
     integers = rng.integers
     conn = [0] * n  # couplings into the set; a member's is raised to 3
     entry_parent = [-1] * n
-    entry_w = [0.0] * n
     frontier: list[int] = []
     fpos = [0] * n  # position in frontier, valid while a node is in it
 
@@ -143,15 +150,14 @@ def select_subtree(q: QuboInstance, rng: _Integers) -> SubTree:
     # second.  That order fixes the frontier's layout, and with it which
     # node each draw picks.
     u = int(integers(n))
-    nodes, parent_pos, edge_w, depth = [u], [-1], [0.0], [0]
+    nodes, parent_pos, depth = [u], [-1], [0]
     while True:
         pos_u = len(nodes) - 1
         conn[u] = 3  # so members never count as 1 or 2 couplings again
-        for v, w in adjacency[u]:
+        for v in nbrs[u]:
             c = conn[v] = conn[v] + 1
             if c == 1:
                 entry_parent[v] = pos_u
-                entry_w[v] = w
                 fpos[v] = len(frontier)
                 frontier.append(v)
             elif c == 2:
@@ -170,16 +176,15 @@ def select_subtree(q: QuboInstance, rng: _Integers) -> SubTree:
             fpos[last] = p
         nodes.append(u)
         parent_pos.append(pp := entry_parent[u])
-        edge_w.append(entry_w[u])
         depth.append(depth[pp] + 1)
     if depth == (level_depth := sorted(depth)):
-        return SubTree._selected(nodes, parent_pos, edge_w, depth)
+        return SubTree._selected(q, nodes, parent_pos, depth)
     # A level grew after a deeper one began: relabel by a stable sort on depth.
     order = sorted(range(len(depth)), key=depth.__getitem__)
     new = {p: j for j, p in enumerate(order)}
     return SubTree._selected(
-        [nodes[p] for p in order], [-1] + [new[parent_pos[p]] for p in order[1:]],
-        [edge_w[p] for p in order], level_depth)
+        q, [nodes[p] for p in order], [-1] + [new[parent_pos[p]] for p in order[1:]],
+        level_depth)
 
 
 def build_tree_problem(

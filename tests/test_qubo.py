@@ -1,6 +1,8 @@
 """Tests for QUBO instance construction, energy evaluation, and file I/O."""
 
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +16,15 @@ from qubokit import (
     energy,
     energy_batch,
     gen_er_graph,
+    geometric_schedule,
+    ibp_run,
     load_instance,
     random_sparse_qubo,
+    sa_run,
     save_instance,
+    select_subtree,
 )
+from qubokit.subtree import frozen_neighbor_arrays
 
 
 class TestConstruction:
@@ -141,10 +148,88 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QuboInstance(2, h={5: 1.0})
 
+    def test_arrays_are_read_only(self):
+        # SA's cached class rows hold a copy of h, so a write would go unseen
+        for q in (QuboInstance(3, h=[1.0, 0.0, 2.0], couplings={(0, 1): 0.5}),
+                  load_instance(save_instance(random_sparse_qubo(gen_er_graph(20, 0.2, 1), 2))),
+                  QuboInstance.from_matrix(np.eye(2))):
+            for a in (q.h, q.pair_i, q.pair_j, q.pair_w):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
     def test_equality(self):
         a = QuboInstance(2, h={0: 1.0}, couplings={(0, 1): 2.0})
         b = QuboInstance(2, h={0: 1.0}, couplings={(1, 0): 2.0})
         assert a == b
+
+
+def eager_adjacency(q: QuboInstance) -> list[list[tuple[int, float]]]:
+    """The (neighbour, w) rows as instances once built them on
+    construction: each coupling entered from both ends, rows ascending."""
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(q.n)]
+    for i, j, w in zip(q.pair_i.tolist(), q.pair_j.tolist(), q.pair_w.tolist()):
+        rows[i].append((j, w))
+        rows[j].append((i, w))
+    return [sorted(row) for row in rows]
+
+
+def typed_bits(rows) -> list[list[tuple[type, int, type, str]]]:
+    return [[(type(k), k, type(w), w.hex()) for k, w in row] for row in rows]
+
+
+class TestLazyLayouts:
+    """The (neighbour, w) rows are built on first use of adjacency; the
+    vectorized paths read the plain neighbour rows and the padded arrays."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_lazy_adjacency_equals_eager_rows(self, data, n):
+        # weights of any bits up to 1e300 (two merged keys stay finite),
+        # subnormals and -0.0 (dropped) among them; few keys leave
+        # variables isolated, none leaves no coupling
+        index = st.integers(0, n - 1)
+        weight = st.floats(-1e300, 1e300)
+        entries = data.draw(st.lists(st.tuples(index, index, weight), max_size=30))
+        couplings = {(i, j): w for i, j, w in entries if i != j}
+        q = QuboInstance(n, couplings=couplings)
+        for inst in (q, load_instance(save_instance(q))):
+            assert inst._adjacency is None
+            assert typed_bits(inst.adjacency) == typed_bits(eager_adjacency(inst))
+            assert inst.adjacency is inst.adjacency  # cached
+
+    def test_lazy_adjacency_without_couplings_and_with_isolated_variables(self):
+        assert load_instance(save_instance(QuboInstance(4, h=[1.0, 0, 0, 2.0]))).adjacency == [
+            [], [], [], []]
+        q = load_instance(save_instance(QuboInstance(5, couplings={(1, 3): -0.5})))
+        assert q.adjacency == [[], [(3, -0.5)], [], [(1, -0.5)], []]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_hot_paths_never_build_the_tuple_rows(self, threads):
+        q = load_instance(save_instance(random_sparse_qubo(gen_er_graph(120, 0.05, 3), 4)))
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            frozen_neighbor_arrays(q, select_subtree(q, rng))
+        q.colour_classes()
+        sched = geometric_schedule(0.5, 3.0, 5)
+        sa_run(q, 1, sched, seed=1, threads=threads)
+        ibp_run(q, 1, sched, seed=1, budget=10 * q.n, threads=threads)
+        assert q._adjacency is None
+
+    def test_loaded_instance_retains_under_half_the_eager_layout(self):
+        # A loaded random ER(300, 0.05) instance held about 414 KB while it
+        # built its (neighbour, w) rows on construction.
+        text = save_instance(random_sparse_qubo(gen_er_graph(300, 0.05, 2), 102))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            q = load_instance(text)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert q.num_couplings == 2205
+        assert retained < 414_000 // 2
 
 
 class TestEnergy:

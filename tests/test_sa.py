@@ -15,10 +15,12 @@ from qubokit import (
     boltzmann_distribution,
     gen_er_graph,
     geometric_schedule,
+    load_instance,
     mis_to_qubo,
     random_sparse_qubo,
     sa_run,
     sa_sweep,
+    save_instance,
     total_variation,
 )
 from qubokit import sa
@@ -276,3 +278,34 @@ class TestColourClasses:
 
     def test_hub_alone_in_class_zero(self):
         assert _with_hub().colour_classes()[0].tolist() == [0]
+
+
+class TestClassRowCache:
+    """SA's class-ordered rows are cached on the instance: they hold no run
+    state, and no run can write to them."""
+
+    @pytest.mark.parametrize("r", [1, 64])
+    @pytest.mark.parametrize("make_q", [_with_isolated_variables, _with_hub],
+                             ids=["isolated", "hub"])
+    def test_repeated_runs_equal_runs_on_a_fresh_copy(self, make_q, r):
+        q = make_q()
+        schedule = geometric_schedule(0.5, 5.0, 6)
+        for seed in (3, 4, 3):
+            got = sa_run(q, r, schedule, seed, checkpoint_every=1)
+            rows = q._class_rows
+            want = sa_run(load_instance(save_instance(q)), r, schedule, seed, checkpoint_every=1)
+            assert q._class_rows is rows
+            assert got.final_states.tobytes() == want.final_states.tobytes()
+            assert got.best_state.tobytes() == want.best_state.tobytes()
+            assert repr((got.checkpoints, got.best_energy)) == repr(
+                (want.checkpoints, want.best_energy))
+
+    @pytest.mark.parametrize("make_q", [_with_hub, _without_couplings],
+                             ids=["hub", "no-couplings"])
+    def test_cached_rows_reject_writes(self, make_q):
+        q = make_q()
+        sa_run(q, 2, geometric_schedule(0.5, 5.0, 2), 1)
+        order, passes = q._class_rows
+        for a in (order, *(x for p in passes for x in p[2:])):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0

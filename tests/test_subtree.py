@@ -14,8 +14,10 @@ from qubokit import (
     build_tree_problem,
     energy,
     gen_er_graph,
+    load_instance,
     mis_to_qubo,
     random_sparse_qubo,
+    save_instance,
     select_subtree,
 )
 from qubokit.subtree import frozen_neighbor_arrays
@@ -237,6 +239,36 @@ class TestSelectedTreeRecords:
             assert tree._depth == rebuilt._depth
             assert tree._bounds == rebuilt._bounds
             assert tree.children == rebuilt.children
+
+
+class TestSelectedEdgeWeights:
+    """edge_w is gathered after the walk from the padded rows; each entry
+    is the instance's coupling of the child and its parent, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            mis_to_qubo(gen_er_graph(80, 0.05, 4)),
+            load_instance(save_instance(random_sparse_qubo(gen_er_graph(60, 0.08, 1), 2))),
+            hub_instance(3),
+            QuboInstance(6, h=[1.0, -2.0, 0.5, 0.0, 3.0, -1.0]),
+            QuboInstance(1),
+        ],
+        ids=["mis", "random", "hub", "no-couplings", "one-variable"],
+    )
+    def test_edge_w_is_the_coupling_bit_for_bit(self, q):
+        pair = {(i, j): w for i, j, w in q.couplings()}
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            tree = select_subtree(q, rng)
+            assert tree.edge_w.dtype == np.float64 and tree.edge_w.shape == (tree.size,)
+            want = [0.0] + [
+                pair[min(a, b), max(a, b)]
+                for a, b in zip(np.asarray(tree.nodes)[tree.parent_pos[1:]].tolist(), tree.nodes[1:])
+            ]
+            assert tree.edge_w.tobytes() == np.array(want).tobytes()
+        if not q.num_couplings:
+            assert q.padded_adjacency()[0].shape == (q.n, 0)
 
 
 class TestTreeProblem:
