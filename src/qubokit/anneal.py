@@ -18,15 +18,14 @@ run_schedule raises NumericError as soon as any cached replica energy is not
 finite, after initialization or after any step, rather than recording NaN
 or infinite checkpoints.
 
-Threads chunk the replica axis of IBP's moves; SA sweeps on the calling
-thread (see sa.py).  Each replica owns its RNG stream and all arithmetic is
-row-local, so results are byte-identical for any thread count.
+Every step runs on the calling thread, all replicas at once.  The threads
+argument is validated (an integer >= 1) and has no other effect, so results
+are byte-identical for any value.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -131,7 +130,8 @@ def _median_p01(r: int) -> Callable[[np.ndarray], list[float]]:
 # A step function advances the whole ensemble at one beta and returns the
 # per-replica spin-update count of that step.
 StepFn = Callable[[float], int]
-# A chunk runner maps fn(lo, hi) over a fixed partition of the replica axis.
+# The chunk runner make_step is passed calls fn(0, r) once, over every
+# replica, on the calling thread; neither solver uses it.
 ChunkRunner = Callable[[Callable[[int, int], None]], None]
 
 
@@ -147,7 +147,7 @@ def run_schedule(
     threads: int = 1,
 ) -> RunTrace:
     """Drive make_step's kernel over the schedule; see module docstring."""
-    if threads < 1:
+    if operator.index(threads) < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
@@ -163,42 +163,30 @@ def run_schedule(
     ens = ReplicaEnsemble.initialize(q, r, root)
     median_p01 = _median_p01(r)
 
-    threads = min(threads, r)
-    cuts = np.linspace(0, r, threads + 1).astype(int)
-    bounds = [(int(cuts[t]), int(cuts[t + 1])) for t in range(threads)]
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-
-        def run_chunks(fn: Callable[[int, int], None]) -> None:
-            if pool is None:
-                fn(0, r)
-            else:
-                for _ in pool.map(lambda b: fn(*b), bounds):
-                    pass
-
-        step = None
-        checkpoints: list[Checkpoint] = []
-        best_e = np.inf
-        moves = u = before = 0
-        while True:
-            if not np.isfinite(ens.energies).all():
-                raise NumericError("non-finite replica energy")
-            if step is None:
-                step = make_step(q, ens, chain_rng, run_chunks)
-            pos = int(np.argmin(ens.energies))
-            if ens.energies[pos] < best_e:
-                best_e = float(ens.energies[pos])
-                best_x = ens.states[pos].copy()
-            done = moves == betas.size if budget is None else u >= budget
-            if (
-                done
-                or not checkpoints
-                or checkpoint_every is None
-                or u // checkpoint_every > before // checkpoint_every
-            ):
-                checkpoints.append(Checkpoint(u, best_e, *median_p01(ens.energies)))
-            if done:
-                return RunTrace(checkpoints, ens.states.copy(), best_x, best_e)
-            idx = moves if budget is None else min(u * betas.size // budget, betas.size - 1)
-            before = u
-            u += step(float(betas[idx]))
-            moves += 1
+    step = None
+    checkpoints: list[Checkpoint] = []
+    best_e = np.inf
+    moves = u = before = 0
+    while True:
+        if not np.isfinite(ens.energies).all():
+            raise NumericError("non-finite replica energy")
+        if step is None:
+            step = make_step(q, ens, chain_rng, lambda fn: fn(0, r))
+        pos = int(np.argmin(ens.energies))
+        if ens.energies[pos] < best_e:
+            best_e = float(ens.energies[pos])
+            best_x = ens.states[pos].copy()
+        done = moves == betas.size if budget is None else u >= budget
+        if (
+            done
+            or not checkpoints
+            or checkpoint_every is None
+            or u // checkpoint_every > before // checkpoint_every
+        ):
+            checkpoints.append(Checkpoint(u, best_e, *median_p01(ens.energies)))
+        if done:
+            return RunTrace(checkpoints, ens.states.copy(), best_x, best_e)
+        idx = moves if budget is None else min(u * betas.size // budget, betas.size - 1)
+        before = u
+        u += step(float(betas[idx]))
+        moves += 1

@@ -67,7 +67,8 @@ def _build_parser() -> _Parser:
                        help="target number of checkpoints over the budget")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1,
-                       help="threads over IBP's replica axis; SA sweeps on one")
+                       help="accepted for compatibility (>= 1); both solvers run on "
+                            "one thread and results do not depend on it")
         p.add_argument("--csv", help="checkpoint CSV path")
 
     solve = sub.add_parser("solve", help="run one solver on an instance")

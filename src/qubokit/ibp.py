@@ -8,8 +8,9 @@ stationary.
 
 `ibp_step` is the per-step reference: it runs the kernel's stages on python
 floats, one replica at a time.  `ibp_run` drives the vectorized kernel, which
-does the same arithmetic on all replicas at once with identical RNG streams,
-so both paths produce the same trajectories for a given seed.
+does the same arithmetic on all replicas at once, on the calling thread, with
+identical RNG streams, so both paths produce the same trajectories for a
+given seed.
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ def _make_ibp_step(
     chain_rng: np.random.Generator,
     run_chunks: ChunkRunner,
 ) -> StepFn:
-    """Vectorized ibp_step over the replica axis, chunked for threading."""
+    """Vectorized ibp_step over all replicas at once, on the calling thread;
+    chain_rng draws the trees, and run_chunks is unused (kept for the
+    make_step signature)."""
     states, energies, rngs = ens.states, ens.energies, ens.rngs
     draws = _BufferedIntegers(chain_rng)
 
@@ -108,36 +111,30 @@ def _make_ibp_step(
         tree = select_subtree(q, draws)
         idx, wmat = frozen_neighbor_arrays(q, tree)
         nodes = np.asarray(tree.nodes)
-        hbase, deg = q.h[nodes, None], q._degrees[nodes]
         m = tree.size
         par = tree.parent_pos[1:]
-        w_edge = tree.edge_w[1:, None]
-
-        def work(lo: int, hi: int) -> None:
-            # Position-major (M, R) arrays; u alone is (R, M). See treebp.
-            xt = states[lo:hi].T.copy()
-            ob = xt[nodes]
-            xt[nodes] = 0
-            eff = _frozen_fields(hbase, deg, idx, wmat, xt)
-            u = np.empty((hi - lo, m))
-            for k in range(hi - lo):
-                rngs[lo + k].random(out=u[k])
-            # The upward fields are freed as soon as the bits are drawn.
-            nb = ensemble_sample(tree, ensemble_upward(tree, eff, beta), beta, u)
-            # Energy change: 0, the field terms of positions 0..M-1, then the
-            # edge terms of positions 1..M-1, summed in that order as ibp_step
-            # adds them; each is a coefficient times a bit difference 0 or +-1.
-            diff = np.zeros((2 * m, hi - lo), dtype=np.uint8)  # -1 wraps to 255
-            np.subtract(nb, ob, out=diff[1 : m + 1])
-            np.bitwise_and(nb[1:], nb[par], out=diff[m + 1 :])
-            diff[m + 1 :] -= ob[1:] & ob[par]
-            d = diff.view(np.int8).astype(np.float64)
-            d[1 : m + 1] *= eff
-            d[m + 1 :] *= w_edge
-            states[lo:hi, nodes] = nb.T
-            energies[lo:hi] += _sum_rows(d)
-
-        run_chunks(work)
+        # Position-major (M, R) arrays; u alone is (R, M). See treebp.
+        xt = states.T.copy()
+        ob = xt[nodes]
+        xt[nodes] = 0
+        eff = _frozen_fields(q.h[nodes, None], q._degrees[nodes], idx, wmat, xt)
+        u = np.empty((ens.r, m))
+        for k, rng in enumerate(rngs):
+            rng.random(out=u[k])
+        # The upward fields are freed as soon as the bits are drawn.
+        nb = ensemble_sample(tree, ensemble_upward(tree, eff, beta), beta, u)
+        # Energy change: 0, the field terms of positions 0..M-1, then the
+        # edge terms of positions 1..M-1, summed in that order as ibp_step
+        # adds them; each is a coefficient times a bit difference 0 or +-1.
+        diff = np.zeros((2 * m, ens.r), dtype=np.uint8)  # -1 wraps to 255
+        np.subtract(nb, ob, out=diff[1 : m + 1])
+        np.bitwise_and(nb[1:], nb[par], out=diff[m + 1 :])
+        diff[m + 1 :] -= ob[1:] & ob[par]
+        d = diff.view(np.int8).astype(np.float64)
+        d[1 : m + 1] *= eff
+        d[m + 1 :] *= tree.edge_w[1:, None]
+        states[:, nodes] = nb.T
+        energies[:] += _sum_rows(d)
         return m
 
     return step
@@ -154,7 +151,8 @@ def ibp_run(
     threads: int = 1,
 ) -> RunTrace:
     """Run IBP over the schedule; spin updates count sum of tree sizes per
-    replica.  See anneal.run_schedule for budget and checkpoint semantics."""
+    replica.  threads is validated and has no effect.  See
+    anneal.run_schedule for budget and checkpoint semantics."""
     return run_schedule(
         q, r, schedule, seed, checkpoint_every, _make_ibp_step,
         budget=budget, threads=threads,

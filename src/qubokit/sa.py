@@ -17,7 +17,7 @@ gathers the class's fields fresh by treebp._frozen_fields, decides every
 flip, flips the accepted bits and adds the accepted changes to the cached
 energies.  Kernel and twin make the same draws, the same decisions and the
 same sums in the same order, so states and cached energies agree bit for
-bit; the kernel runs on the calling thread for every R.
+bit; like IBP's, the kernel runs on the calling thread for every R.
 
 Accept rule: a sweep draws n uniforms u from the replica's stream and takes
 -log(u) once; the site visited t-th is flipped where beta * d < -log(u[t]),
@@ -163,8 +163,8 @@ def sa_run(
     threads: int = 1,
 ) -> RunTrace:
     """Mirror of ibp_run with one sweep per schedule entry, all replicas at
-    once on the calling thread whatever threads is (it is still validated);
-    spin updates count n per sweep per replica."""
+    once on the calling thread; threads is validated and has no effect.
+    Spin updates count n per sweep per replica."""
     return run_schedule(
         q, r, schedule, seed, checkpoint_every, _make_sa_step,
         budget=budget, threads=threads,

@@ -179,6 +179,9 @@ class TestRunScheduleBudget:
             run_schedule(q, 4, sched, 0, 0, counting_step([]))
         with pytest.raises(ValueError):
             run_schedule(q, 4, sched, 0, None, counting_step([]), threads=0)
+        for threads in (2.5, 1.0):
+            with pytest.raises(TypeError):
+                run_schedule(q, 4, sched, 0, None, counting_step([]), threads=threads)
         with pytest.raises(ValueError):
             run_schedule(q, 4, sched, 0, None, counting_step([]), budget=-1)
         with pytest.raises(ValueError):
@@ -216,20 +219,20 @@ class TestRunScheduleBudget:
         assert made == [] and seen == []
 
     def test_failing_step_with_threads_leaves_no_worker(self):
-        def make(q, ens, rng, run_chunks):
-            def fail(lo, hi):
-                raise RuntimeError(f"chunk {lo}:{hi} failed")
+        # the step's own error comes out unchanged, and no thread was started
+        error = RuntimeError("step failed")
 
+        def make(q, ens, rng, run_chunks):
             def step(beta):
-                run_chunks(fail)
-                return 1
+                raise error
 
             return step
 
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="chunk 0:2 failed"):
+        with pytest.raises(RuntimeError) as info:
             run_schedule(small_instance(), 4, AnnealSchedule(np.array([1.0])), 0, None,
-                          make, threads=2)
+                         make, threads=2)
+        assert info.value is error
         assert threading.active_count() == before
 
 

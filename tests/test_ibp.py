@@ -237,6 +237,9 @@ class TestIbpRun:
         q = QuboInstance(2, h=[0.0, 0.0], couplings={(0, 1): 1.0})
         with pytest.raises(ValueError, match="thread count"):
             ibp_run(q, 4, AnnealSchedule(np.full(3, 1.0)), 0, threads=0)
+        for threads in (2.5, 1.0):
+            with pytest.raises(TypeError):
+                ibp_run(q, 4, AnnealSchedule(np.full(3, 1.0)), 0, threads=threads)
 
     @HUB
     @pytest.mark.parametrize("r, threads", [(1, 1), (1, 2), (70, 1), (70, 2)])
@@ -479,7 +482,7 @@ class TestTracedNames:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_runs_call_the_traced_names(self, monkeypatch, threads):
-        calls = {}  # name: one entry per call; list.append is thread-safe
+        calls = {}  # name: one entry per call
         for module, name in self.TRACED:
             calls[f"{module.__name__}.{name}"] = seen = []
 
@@ -494,6 +497,6 @@ class TestTracedNames:
         sa_run(q, 4, sched, seed=1, threads=threads)
         counts = {key: len(seen) for key, seen in calls.items()}
         assert all(counts.values()), counts
-        # one upward sweep and one draw per chunk per move
-        assert counts["qubokit.ibp.ensemble_upward"] == 5 * threads
-        assert counts["qubokit.ibp.ensemble_sample"] == 5 * threads
+        # one upward sweep and one draw per move, whatever threads is
+        assert counts["qubokit.ibp.ensemble_upward"] == 5
+        assert counts["qubokit.ibp.ensemble_sample"] == 5

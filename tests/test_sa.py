@@ -15,6 +15,7 @@ from qubokit import (
     boltzmann_distribution,
     gen_er_graph,
     geometric_schedule,
+    ibp_run,
     load_instance,
     mis_to_qubo,
     random_sparse_qubo,
@@ -23,7 +24,7 @@ from qubokit import (
     save_instance,
     total_variation,
 )
-from qubokit import sa
+from qubokit import ibp, sa
 from qubokit.oracle import state_index
 from qubokit.qubo import energy, energy_batch
 
@@ -220,25 +221,35 @@ class TestSaRun:
                 assert other.checkpoints == base.checkpoints
                 assert np.array_equal(other.final_states, base.final_states)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_sweeps_run_on_the_calling_thread(self, monkeypatch, threads):
-        # SA hands nothing to the replica pool: each sweep makes one pass
-        # per class, every one on the thread that called sa_run
+        # whatever threads is, each SA sweep makes one pass per class and
+        # each IBP move one upward sweep, every one on the calling thread
         calls = []
 
-        def record(*args, fn=sa._frozen_fields):
-            calls.append(threading.current_thread())
-            return fn(*args)
+        def record(module, name):
+            def recorded(*args, fn=getattr(module, name)):
+                calls.append((name, threading.current_thread()))
+                return fn(*args)
 
-        monkeypatch.setattr(sa, "_frozen_fields", record)
+            monkeypatch.setattr(module, name, recorded)
+
+        record(sa, "_frozen_fields")
+        record(ibp, "ensemble_upward")
         q = _with_hub()
         sa_run(q, 65, AnnealSchedule(np.full(3, 1.0)), 0, threads=threads)
-        assert calls == [threading.current_thread()] * (3 * len(q.colour_classes()))
+        ibp_run(q, 65, AnnealSchedule(np.full(3, 1.0)), 0, threads=threads)
+        here = threading.current_thread()
+        assert calls == ([("_frozen_fields", here)] * (3 * len(q.colour_classes()))
+                         + [("ensemble_upward", here)] * 3)
 
     def test_thread_count_validated(self):
         q = QuboInstance(2, h=[0.0, 0.0], couplings={(0, 1): 1.0})
         with pytest.raises(ValueError, match="thread count"):
             sa_run(q, 4, AnnealSchedule(np.full(3, 1.0)), 0, threads=0)
+        for threads in (2.5, 1.0):
+            with pytest.raises(TypeError):
+                sa_run(q, 4, AnnealSchedule(np.full(3, 1.0)), 0, threads=threads)
 
     def test_finds_mis_optimum_on_five_cycle(self):
         g = RandomGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
