@@ -149,11 +149,11 @@ def run_schedule(
     """Drive make_step's kernel over the schedule; see module docstring."""
     if operator.index(threads) < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
-    if checkpoint_every is not None and checkpoint_every < 1:
+    if checkpoint_every is not None and operator.index(checkpoint_every) < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     betas = schedule.betas
     if budget is not None:
-        if budget < 0:
+        if operator.index(budget) < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
         if budget > 0 and betas.size == 0:
             raise ValueError("empty schedule with a nonzero budget")

@@ -122,34 +122,29 @@ def tree_dp_min(q: QuboInstance) -> float:
     response min_{x_i} (h_i x_i + w_ij x_i x_j) contributes a constant for
     x_j = 0 and an adjusted field for x_j = 1.
     """
-    n = q.n
-    heff = q.h.astype(np.float64).copy()
-    deg = q._degrees.tolist()
-    removed = [False] * n
-    stack = [i for i in range(n) if deg[i] == 1]
+    heff, wgt, deg = q.h.tolist(), q._weight_rows(), q._degrees.tolist()
+    removed = [False] * q.n
+    stack = [i for i, d in enumerate(deg) if d == 1]
     total = 0.0
 
     while stack:
         i = stack.pop()
         if removed[i] or deg[i] != 1:
             continue
-        j, w = next((j, w) for j, w in q.adjacency[i] if not removed[j])
-        m0 = min(0.0, float(heff[i]))
-        m1 = min(0.0, float(heff[i]) + w)
+        j, w = next((j, w) for j, w in zip(q._nbrs[i], wgt[i]) if not removed[j])
+        m0 = min(0.0, heff[i])
         total += m0
-        heff[j] += m1 - m0
-        removed[i] = True
-        deg[i] = 0
+        heff[j] += min(0.0, heff[i] + w) - m0
+        removed[i], deg[i] = True, 0
         deg[j] -= 1
         if deg[j] == 1:
             stack.append(j)
 
-    for i in range(n):
-        if removed[i]:
-            continue
-        if deg[i] != 0:
-            raise ValueError("coupling graph contains a cycle")
-        total += min(0.0, float(heff[i]))
+    if any(deg):  # a folded leaf's degree is 0
+        raise ValueError("coupling graph contains a cycle")
+    for i in range(q.n):
+        if not removed[i]:
+            total += min(0.0, heff[i])
     return total
 
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+import operator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -31,11 +32,11 @@ class QuboInstance:
     coupling w[i,j]; a symmetric matrix Q maps onto this form via
     h[i] = Q[i,i] and w[i,j] = Q[i,j] + Q[j,i] (see :meth:`from_matrix`).
 
-    Couplings with value exactly 0 are never stored.  Instances are
-    immutable after construction (their arrays are read-only) and safe to
-    share across threads: a layout built on first use is a pure function of
-    the arrays, so two threads that both build it make equal values, and one
-    assignment wins.
+    Couplings with value exactly 0 are never stored; a float index raises
+    TypeError.  Instances are immutable after construction (their arrays
+    are read-only) and safe to share across threads: a layout built on
+    first use is a pure function of the arrays, so two threads that both
+    build it make equal values, and one assignment wins.
     """
 
     def __init__(
@@ -44,15 +45,14 @@ class QuboInstance:
         h: Mapping[int, float] | np.ndarray | list[float] | None = None,
         couplings: Mapping[tuple[int, int], float] | None = None,
     ) -> None:
-        if n < 1:
+        self.n = operator.index(n)
+        if self.n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        self.n = int(n)
 
         self.h = np.zeros(self.n, dtype=np.float64)
         if isinstance(h, Mapping):
             for i, v in h.items():
-                self._check_index(int(i))
-                self.h[int(i)] = float(v)
+                self.h[self._index(i)] = float(v)
         elif h is not None:
             arr = np.asarray(h, dtype=np.float64)
             if arr.shape != (self.n,):
@@ -63,9 +63,7 @@ class QuboInstance:
         # Q[i,j] and Q[j,i] may be supplied), sorted by (i, j), zeros dropped.
         merged: dict[tuple[int, int], float] = {}
         for (i, j), v in (couplings or {}).items():
-            i, j = int(i), int(j)
-            self._check_index(i)
-            self._check_index(j)
+            i, j = self._index(i), self._index(j)
             if i == j:
                 raise ValueError(f"self-coupling ({i},{j}); diagonal terms belong in h")
             key = (i, j) if i < j else (j, i)
@@ -98,17 +96,16 @@ class QuboInstance:
         self.h, self.pair_i, self.pair_j, self.pair_w = h, pair_i, pair_j, pair_w
         for a in (h, pair_i, pair_j, pair_w):  # the cached layouts copy them
             a.flags.writeable = False
-        # Neighbour rows of ints, each ascending, for the selection walk and
-        # the colouring, which read only the graph; _degrees holds each row's
-        # length.  The rows share one int object per variable.  The weighted
-        # layouts (adjacency, padded_adjacency) are built on first use.
+        # Neighbour rows of ints, each ascending, for the selection walk, the
+        # colouring and the scalar loops, which zip them with _weight_rows;
+        # _degrees holds each row's length.  The rows share one int object
+        # per variable.  padded_adjacency() is built on first use.
         self._degrees = np.bincount(np.concatenate((pair_i, pair_j)), minlength=self.n)
         ints = list(range(self.n))
         entries = list(map(ints.__getitem__, self._directed()[0].tolist()))
         ends = np.cumsum(self._degrees).tolist()
         self._nbrs = [entries[a:b] for a, b in zip([0] + ends, ends)]
 
-        self._adjacency: list[list[tuple[int, float]]] | None = None
         self._padded_adj: tuple[np.ndarray, np.ndarray] | None = None
         self._colour_classes: list[np.ndarray] | None = None
         self._class_rows: tuple | None = None  # SA's, see sa._make_sa_step
@@ -123,9 +120,11 @@ class QuboInstance:
         nbr = np.concatenate((self.pair_i, self.pair_j))[order]
         return nbr, order % max(self.pair_w.size, 1)
 
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n:
+    def _index(self, i: int) -> int:
+        """i as an int in [0, n); TypeError if i is not an integer."""
+        if not 0 <= (i := operator.index(i)) < self.n:
             raise ValueError(f"variable index {i} out of range [0, {self.n})")
+        return i
 
     @classmethod
     def from_matrix(cls, Q: np.ndarray) -> "QuboInstance":
@@ -154,25 +153,15 @@ class QuboInstance:
             yield int(i), int(j), float(v)
 
     def degree(self, i: int) -> int:
-        self._check_index(i)
-        return int(self._degrees[i])
-
-    @property
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Row i: (neighbour, w) of i's couplings, ascending; cached on first use."""
-        if self._adjacency is None:
-            floats = self.pair_w.tolist()
-            ws = map(floats.__getitem__, self._directed()[1].tolist())
-            # zip ends a row before it draws a weight: the weights run on.
-            self._adjacency = [list(zip(row, ws)) for row in self._nbrs]
-        return self._adjacency
+        return int(self._degrees[self._index(i)])
 
     def padded_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (n, max_degree) neighbor-index and weight arrays.
 
-        Row i holds q.adjacency[i] in order in its first degree(i) entries,
-        then padding of index 0 and weight -0.0, so readers may take a row's
-        real entries as a prefix or sum the whole row: adding -0.0 leaves
+        Row i holds i's neighbours, ascending, and their couplings in its
+        first degree(i) entries, then padding of index 0 and weight -0.0, so
+        readers may take a row's real entries as a prefix (zipped with the
+        neighbour row _nbrs[i], say) or sum the whole row: adding -0.0 leaves
         every sum as it was, the sign of a zero included.  Built once and
         cached.
         """
@@ -187,6 +176,17 @@ class QuboInstance:
             wgt[rows, cols] = self.pair_w[coupling]
             self._padded_adj = (idx, wgt)
         return self._padded_adj
+
+    def _weight_rows(self, rows: Iterable[int] | None = None) -> list[list[float]]:
+        """Python float weights of rows, in _nbrs order: padded_adjacency()[1]'s
+        rows cut to degree, or with rows None every row from the pair arrays,
+        in O(E log E) and building nothing.  zip(_nbrs[i], row) walks i's (j, w)."""
+        if rows is None:
+            flat = self.pair_w[self._directed()[1]].tolist()
+            ends = np.cumsum(self._degrees).tolist()
+            return [flat[a:b] for a, b in zip([0] + ends, ends)]
+        wgt = self.padded_adjacency()[1]
+        return [wgt[i, : len(self._nbrs[i])].tolist() for i in rows]
 
     def colour_classes(self) -> list[np.ndarray]:
         """Greedy colouring of the coupling graph: sites by decreasing
@@ -227,9 +227,12 @@ class QuboInstance:
 
 
 def _as_assignment(q: QuboInstance, x) -> np.ndarray:
+    """x as floats; ValueError unless it is n values of 0 or 1."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape != (q.n,):
         raise ValueError(f"assignment has shape {arr.shape}, expected ({q.n},)")
+    if not ((arr == 0.0) | (arr == 1.0)).all():
+        raise ValueError("assignment must be binary (0 or 1)")
     return arr
 
 
@@ -273,14 +276,12 @@ def energy_batch(q: QuboInstance, states: np.ndarray) -> np.ndarray:
 
 def delta_energy(q: QuboInstance, x, i: int) -> float:
     """Energy change from flipping bit i:
-    (1 - 2 x_i) * (h[i] + sum_{j in adj(i)} w[i,j] x_j), summed over i's own
-    adjacency on python floats.
+    (1 - 2 x_i) * (h[i] + sum_{j in adj(i)} w[i,j] x_j), summed in
+    adjacency order on python floats.
     """
-    xf = _as_assignment(q, x)
-    if not 0 <= i < q.n:
-        raise ValueError(f"variable index {i} out of range [0, {q.n})")
+    xf, i = _as_assignment(q, x), q._index(i)
     field = float(q.h[i])
-    for j, w in q.adjacency[i]:
+    for j, w in zip(q._nbrs[i], q._weight_rows((i,))[0]):
         field += w * float(xf[j])
     return (1.0 - 2.0 * float(xf[i])) * field
 

@@ -60,13 +60,13 @@ def _scalar_sweep(
     returns e plus each class's sum of accepted changes, and the accepted
     count.  Python floats overflow to inf without a warning."""
     thr = iter(_thresholds(rng.random(q.n)).tolist())
-    h, adj, xs = q.h.tolist(), q.adjacency, x.tolist()
+    h, nbrs, wgt, xs = q.h.tolist(), q._nbrs, q._weight_rows(range(q.n)), x.tolist()
     accepted = 0
     for sites in q.colour_classes():
         de = -0.0
         for i in sites.tolist():
             d = h[i]
-            for j, w in adj[i]:
+            for j, w in zip(nbrs[i], wgt[i]):
                 d += w * xs[j]
             if xs[i]:
                 d = -d

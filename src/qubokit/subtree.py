@@ -194,12 +194,12 @@ def build_tree_problem(
     field sums over all neighbors, with the tree's own bits set to 0."""
     xz = np.array(x, dtype=np.float64)
     xz[tree.nodes] = 0.0
-    b = np.empty(tree.size, dtype=np.float64)
-    for p, i in enumerate(tree.nodes):
-        acc = q.h[i]
-        for k, w in q.adjacency[i]:
+    xz, h, b = xz.tolist(), q.h.tolist(), []
+    for i, row in zip(tree.nodes, q._weight_rows(tree.nodes)):
+        acc = h[i]
+        for k, w in zip(q._nbrs[i], row):
             acc += w * xz[k]
-        b[p] = acc
+        b.append(acc)
     return TreeProblem(tree, b, beta)
 
 

@@ -182,6 +182,12 @@ class TestRunScheduleBudget:
         for threads in (2.5, 1.0):
             with pytest.raises(TypeError):
                 run_schedule(q, 4, sched, 0, None, counting_step([]), threads=threads)
+        for bad in (10.5, 10.0):
+            with pytest.raises(TypeError):
+                run_schedule(q, 4, sched, 0, None, counting_step([]), budget=bad)
+        for bad in (2.5, 2.0):
+            with pytest.raises(TypeError):
+                run_schedule(q, 4, sched, 0, bad, counting_step([]))
         with pytest.raises(ValueError):
             run_schedule(q, 4, sched, 0, None, counting_step([]), budget=-1)
         with pytest.raises(ValueError):

@@ -241,6 +241,19 @@ class TestIbpRun:
             with pytest.raises(TypeError):
                 ibp_run(q, 4, AnnealSchedule(np.full(3, 1.0)), 0, threads=threads)
 
+    def test_budget_and_checkpoint_every_validated(self):
+        q = QuboInstance(2, h=[0.0, 0.0], couplings={(0, 1): 1.0})
+        sched = AnnealSchedule(np.full(3, 1.0))
+        for bad in (10.5, 10.0):
+            with pytest.raises(TypeError):
+                ibp_run(q, 2, sched, 0, None, budget=bad)
+        for bad in (2.5, 2.0):
+            with pytest.raises(TypeError):
+                ibp_run(q, 2, sched, 0, bad)
+        # numpy integers are integers
+        trace = ibp_run(q, 2, sched, 0, np.int64(2), budget=np.int64(10))
+        assert trace.checkpoints[-1].spin_updates >= 10
+
     @HUB
     @pytest.mark.parametrize("r, threads", [(1, 1), (1, 2), (70, 1), (70, 2)])
     def test_gather_block_cap_does_not_change_trace(self, monkeypatch, hub, r, threads):
@@ -461,7 +474,7 @@ class TestSelectionRecords:
         for _ in range(30):
             tree = select_subtree(q, rng)
             idx, wmat = frozen_neighbor_arrays(q, tree)
-            width = max(len(q.adjacency[i]) for i in tree.nodes)
+            width = max(q.degree(i) for i in tree.nodes)
             assert idx.shape == wmat.shape == (tree.size, width)
 
 

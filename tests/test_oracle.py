@@ -201,6 +201,15 @@ class TestTreeDp:
         q = QuboInstance(2, couplings={(0, 1): -2.0})
         assert tree_dp_min(q) == -2.0
 
+    def test_star_builds_no_padded_rows(self):
+        # a star's padded rows would be n x (n - 1); the fold reads the
+        # pair arrays and stays linear
+        n = 3000
+        q = QuboInstance(n, h=[1.0] + [-1.0] * (n - 1),
+                         couplings={(0, j): -0.5 for j in range(1, n)})
+        assert tree_dp_min(q) == 1.0 - 1.5 * (n - 1)
+        assert q._padded_adj is None
+
     def test_matches_brute_force_on_random_trees(self):
         rng = np.random.default_rng(17)
         for _ in range(100):

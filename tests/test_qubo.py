@@ -12,19 +12,21 @@ from hypothesis import strategies as st
 from qubokit import (
     ParseError,
     QuboInstance,
+    ReplicaEnsemble,
+    build_tree_problem,
     delta_energy,
     energy,
     energy_batch,
     gen_er_graph,
-    geometric_schedule,
-    ibp_run,
+    ibp_step,
     load_instance,
     random_sparse_qubo,
-    sa_run,
+    sa_sweep,
     save_instance,
     select_subtree,
+    tree_dp_min,
 )
-from qubokit.subtree import frozen_neighbor_arrays
+from qubokit.treebp import _frozen_fields
 
 
 class TestConstruction:
@@ -55,12 +57,30 @@ class TestConstruction:
 
     def test_adjacency(self):
         q = QuboInstance(3, couplings={(0, 1): 2.0, (1, 2): -1.0})
-        assert q.adjacency[1] == [(0, 2.0), (2, -1.0)]
+        assert padded_rows(q)[1] == [(0, 2.0), (2, -1.0)]
         assert q.degree(1) == 2
         assert q.degree(0) == 1
         for i in (-1, 3):
             with pytest.raises(ValueError):
                 q.degree(i)
+
+    def test_float_indices_rejected(self):
+        # no index is truncated: 1.5 is not variable 1, nor 0.7 variable 0
+        for args, kwargs in [((3.0,), {}), ((3,), {"h": {1.5: 2.0}}),
+                             ((3,), {"couplings": {(0.7, 2): 1.0}}),
+                             ((3,), {"couplings": {(0, np.float64(2.0)): 1.0}})]:
+            with pytest.raises(TypeError):
+                QuboInstance(*args, **kwargs)
+        q = QuboInstance(3, couplings={(0, 1): 2.0})
+        for i in (1.5, 1.0, np.float64(1.0)):
+            with pytest.raises(TypeError):
+                q.degree(i)
+        # numpy integers are indices
+        q = QuboInstance(np.int64(3), h={np.int32(1): 2.0},
+                         couplings={(np.int64(0), np.uint8(2)): 1.0})
+        assert q.h.tolist() == [0.0, 2.0, 0.0]
+        assert list(q.couplings()) == [(0, 2, 1.0)]
+        assert q.degree(np.int64(2)) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(2, 12))
@@ -75,20 +95,19 @@ class TestConstruction:
         for i, j, w in zip(q.pair_i.tolist(), q.pair_j.tolist(), q.pair_w.tolist()):
             expected[i].append((j, w))
             expected[j].append((i, w))
-        for row, want in zip(q.adjacency, expected):
+        for row, want in zip(padded_rows(q), expected):
             nbrs = [k for k, _ in row]
             assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
             assert row == sorted(want)
-        # the padded rows: each adjacency row in order, then zero padding,
-        # as wide as the largest row
+        # the padded rows: each row's couplings in order, then padding of
+        # index 0 and weight -0.0, as wide as the largest row
         idx, wgt = q.padded_adjacency()
-        assert idx.shape == wgt.shape == (n, max(map(len, q.adjacency)))
-        for i, row in enumerate(q.adjacency):
-            deg = len(row)
-            assert idx[i, :deg].tolist() == [k for k, _ in row]
-            assert wgt[i, :deg].tolist() == [w for _, w in row]
+        assert idx.shape == wgt.shape == (n, max(map(len, expected)))
+        for i in range(n):
+            deg = q.degree(i)
+            assert q._nbrs[i] == idx[i, :deg].tolist()
             assert not idx[i, deg:].any()
-            assert not wgt[i, deg:].any()
+            assert np.signbit(wgt[i, deg:]).all() and not wgt[i, deg:].any()
 
     def test_padded_adjacency(self):
         q = QuboInstance(3, couplings={(0, 1): 2.0, (1, 2): -1.0})
@@ -124,7 +143,7 @@ class TestConstruction:
             assert q.pair_i.tobytes() == want.pair_i.tobytes()
             assert q.pair_j.tobytes() == want.pair_j.tobytes()
             assert q.pair_w.tobytes() == want.pair_w.tobytes()
-            assert q.adjacency == want.adjacency
+            assert typed_bits(padded_rows(q)) == typed_bits(eager_adjacency(want))
 
     def test_first_faulty_coupling_reported(self):
         # the first faulty key in the mapping's order names the error
@@ -177,9 +196,16 @@ def typed_bits(rows) -> list[list[tuple[type, int, type, str]]]:
     return [[(type(k), k, type(w), w.hex()) for k, w in row] for row in rows]
 
 
+def padded_rows(q: QuboInstance) -> list[list[tuple[int, float]]]:
+    """Row i of q.padded_adjacency() cut to q.degree(i), as (neighbour, w)."""
+    idx, wgt = q.padded_adjacency()
+    return [list(zip(idx[i, : q.degree(i)].tolist(), wgt[i, : q.degree(i)].tolist()))
+            for i in range(q.n)]
+
+
 class TestLazyLayouts:
-    """The (neighbour, w) rows are built on first use of adjacency; the
-    vectorized paths read the plain neighbour rows and the padded arrays."""
+    """The padded rows are built on first use of padded_adjacency(); the
+    plain neighbour rows on construction."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12))
@@ -193,27 +219,48 @@ class TestLazyLayouts:
         couplings = {(i, j): w for i, j, w in entries if i != j}
         q = QuboInstance(n, couplings=couplings)
         for inst in (q, load_instance(save_instance(q))):
-            assert inst._adjacency is None
-            assert typed_bits(inst.adjacency) == typed_bits(eager_adjacency(inst))
-            assert inst.adjacency is inst.adjacency  # cached
+            assert inst._padded_adj is None
+            eager = eager_adjacency(inst)
+            assert inst._nbrs == [[k for k, _ in row] for row in eager]
+            assert typed_bits(padded_rows(inst)) == typed_bits(eager)
+            assert inst.padded_adjacency() is inst.padded_adjacency()  # cached
+            # the scalar readers' weights, from the pair arrays and cut
+            # from the padded rows, every row and a few
+            assert typed_bits(map(zip, inst._nbrs, inst._weight_rows())) == typed_bits(eager)
+            rows = np.array(data.draw(st.lists(index, max_size=5)), dtype=np.int64)
+            assert typed_bits(map(zip, map(inst._nbrs.__getitem__, rows.tolist()),
+                                  inst._weight_rows(rows))) == typed_bits(
+                map(eager.__getitem__, rows.tolist()))
 
     def test_lazy_adjacency_without_couplings_and_with_isolated_variables(self):
-        assert load_instance(save_instance(QuboInstance(4, h=[1.0, 0, 0, 2.0]))).adjacency == [
-            [], [], [], []]
-        q = load_instance(save_instance(QuboInstance(5, couplings={(1, 3): -0.5})))
-        assert q.adjacency == [[], [(3, -0.5)], [], [(1, -0.5)], []]
+        q = QuboInstance(4, h=[1.0, 0, 0, 2.0])
+        for inst in (q, load_instance(save_instance(q))):
+            assert padded_rows(inst) == [[], [], [], []]
+            assert inst.padded_adjacency()[1].shape == (4, 0)
+        q = QuboInstance(5, couplings={(1, 3): -0.5})
+        for inst in (q, load_instance(save_instance(q))):
+            assert typed_bits(padded_rows(inst)) == typed_bits(
+                [[], [(3, -0.5)], [], [(1, -0.5)], []])
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_hot_paths_never_build_the_tuple_rows(self, threads):
+    def test_scalar_readers_cache_only_the_padded_rows(self):
+        # the scalar twins read the plain neighbour rows and the padded
+        # weight rows, the forest oracle the pair arrays; they leave nothing
+        # else behind
         q = load_instance(save_instance(random_sparse_qubo(gen_er_graph(120, 0.05, 3), 4)))
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            frozen_neighbor_arrays(q, select_subtree(q, rng))
         q.colour_classes()
-        sched = geometric_schedule(0.5, 3.0, 5)
-        sa_run(q, 1, sched, seed=1, threads=threads)
-        ibp_run(q, 1, sched, seed=1, budget=10 * q.n, threads=threads)
-        assert q._adjacency is None
+        cached = dict(vars(q))
+        rng = np.random.default_rng(1)
+        x = (rng.random(q.n) < 0.5).astype(np.uint8)
+        sa_sweep(q, x.copy(), 1.0, rng)
+        ens = ReplicaEnsemble.initialize(q, 2, 1)
+        ibp_step(q, ens, 1.0, rng)
+        build_tree_problem(q, select_subtree(q, rng), x, 1.0)
+        delta_energy(q, x, 7)
+        with pytest.raises(ValueError, match="cycle"):
+            tree_dp_min(q)
+        assert cached["_padded_adj"] is None and q._padded_adj is not None
+        assert vars(q).keys() == cached.keys()
+        assert all(vars(q)[k] is v for k, v in cached.items() if k != "_padded_adj")
 
     def test_loaded_instance_retains_under_half_the_eager_layout(self):
         # A loaded random ER(300, 0.05) instance held about 414 KB while it
@@ -306,12 +353,55 @@ class TestEnergy:
                 energy(q, y) - energy(q, x), abs=1e-12
             )
 
+    def test_delta_energy_is_the_kernel_field_to_the_bit(self):
+        # delta_energy sums the same terms in the same order as the field
+        # stage of both kernels: every site of a float instance with a hub,
+        # -0.0 and 0.0 fields, the -0.0 padding weights and sums that
+        # cancel to zeros of either sign among them; all rows at once (in
+        # blocks, at n = 150) and each row alone
+        rng = np.random.default_rng(13)
+        n = 150
+        w = {(int(i), int(j)): float(rng.choice([-1.0, 1.0, 0.5, rng.normal()]))
+             for i, j in zip(*np.nonzero(np.triu(rng.random((n, n)) < 0.05, 1)))}
+        for j in range(1, n):
+            w.setdefault((0, j), float(rng.uniform(-1.0, 1.0)))
+        h = rng.choice([-0.0, 0.0, -1.0, 1.0, -0.5], size=n)
+        h[: n // 2] = rng.normal(size=n // 2)
+        q = QuboInstance(n, h=h, couplings=w)
+        idx, wgt = q.padded_adjacency()
+        signs = set()
+        sparse_and_even = rng.random((6, n)) < np.repeat([[0.1], [0.5]], 3, axis=0)
+        for x in (np.zeros(n), np.ones(n), *sparse_and_even):
+            x = x.astype(np.uint8)
+            got = np.array([delta_energy(q, x, i) for i in range(n)])
+            fields = _frozen_fields(q.h[:, None], q._degrees, idx, wgt, x[:, None])[:, 0]
+            assert got.tobytes() == ((1.0 - 2.0 * x) * fields).tobytes()
+            for i in (0, 1, n - 1):
+                one = _frozen_fields(q.h[[i], None], q._degrees[[i]], idx[[i]], wgt[[i]],
+                                     x[:, None])[0, 0]
+                assert got[i].tobytes() == ((1.0 - 2.0 * x[i]) * one).tobytes()
+            signs.update(np.signbit(got[got == 0.0]).tolist())
+        assert signs == {False, True}
+
+    def test_energy_and_delta_energy_reject_non_binary(self):
+        q = QuboInstance(2, h=[1.0, 0.5], couplings={(0, 1): 2.0})
+        for bad in ([0.5, 2], [3, 1], [1, -1], [0, float("nan")], [float("inf"), 0]):
+            with pytest.raises(ValueError, match="binary"):
+                energy(q, bad)
+            with pytest.raises(ValueError, match="binary"):
+                delta_energy(q, bad, 0)
+        for same in ([True, True], np.ones(2, np.uint8), [1.0, 1.0], [1, 1]):
+            assert energy(q, same) == 3.5
+            assert delta_energy(q, same, 0) == -3.0
+
     def test_shape_and_index_errors(self):
         q = QuboInstance(3)
         with pytest.raises(ValueError):
             energy(q, np.zeros(2))
         with pytest.raises(ValueError):
             delta_energy(q, np.zeros(3), 3)
+        with pytest.raises(TypeError):
+            delta_energy(q, np.zeros(3), 1.5)
 
 
 class TestFileFormat:
